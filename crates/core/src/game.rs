@@ -37,18 +37,20 @@
 //!   cycle detection. On the monotone curves the local optimizer produces,
 //!   the first mover hoards the free pool — the classic selfish outcome
 //!   whose cost the E10 experiment reports as the price of anarchy.
-//! * [`min_energy_equilibrium`] — ZERO-Regrets-style equilibrium selection:
-//!   enumerates every candidate strategy vector, filters to pure Nash
-//!   equilibria using per-core prefix-minimum tables, and returns the
-//!   equilibrium minimizing total energy. Enumeration is combinatorial in
-//!   the core count (roughly `C(total_ways, cores)` candidates: ~1.8k at
-//!   4 cores / 16 ways, ~13k at 8 / 16) — intended for small platforms,
-//!   which is what E10 and the bench gate use.
+//! * [`min_energy_equilibrium`] — ZERO-Regrets-style equilibrium selection
+//!   without enumeration: free disposal makes the slack-allowed social
+//!   optimum an equilibrium, so it solves that optimum with the min-plus
+//!   reduction of [`crate::global`], moves each core to its fewest optimal
+//!   ways and certifies the result with [`is_pure_nash`]. A ZERO-Regrets
+//!   cutting loop would stop at this first iterate; the cost is the
+//!   cooperative arbiter's, at any core count.
 //! * [`is_pure_nash`] — an exhaustive, solver-independent verifier of the
-//!   equilibrium definition that the solvers never consult. It exists so
-//!   property tests can adversarially validate every solver output.
+//!   equilibrium definition. [`min_energy_equilibrium`] uses it as its
+//!   certificate; best response never consults it, so property tests can
+//!   adversarially validate that solver's outputs with it.
 
 use crate::curve::{CurvePoint, EnergyCurve};
+use crate::global::{optimize_partition_with_stats, PruneStats};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -90,15 +92,19 @@ impl Default for GameConfig {
 /// Deterministic work counters of one solver call, accumulated into
 /// [`crate::RmaWorkCounters`] by the manager and exact-compared by the
 /// bench gate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GameStats {
     /// Best-response rounds executed.
     pub rounds: u64,
     /// Single-core energy lookups performed while computing best responses.
     pub evaluations: u64,
-    /// Candidate strategy vectors examined by the equilibrium-selection
-    /// enumeration.
+    /// Candidate strategy vectors put to the [`is_pure_nash`] certificate
+    /// by [`min_energy_equilibrium`]: one per solve that found an optimum,
+    /// zero when the game is infeasible or under best response.
     pub equilibria_examined: u64,
+    /// Min-plus reduction work of [`min_energy_equilibrium`]'s solve step
+    /// (zero under best response).
+    pub reduction: PruneStats,
 }
 
 /// The result of a solver call: a strategy vector with its per-core curve
@@ -187,8 +193,9 @@ fn deviation_budget(ways: usize, free: usize, max_ways: usize) -> usize {
 /// unilateral deviation within its budget (its own ways plus the free
 /// pool).
 ///
-/// This is the module's correctness core: an independent naive scan of the
-/// definition that the solvers never call, so property tests can use it to
+/// This is the module's correctness core: a naive scan of the definition,
+/// independent of how any solver reaches its answer. It is
+/// [`min_energy_equilibrium`]'s certificate, and property tests use it to
 /// adversarially validate every solver output. Comparisons are exact
 /// (strict `<`, no epsilon) — the curves are deterministic, so so is the
 /// verdict.
@@ -307,132 +314,90 @@ pub fn best_response(
     )
 }
 
-/// Shared state of the equilibrium-selection enumeration.
-struct Enumeration<'a> {
-    /// Per-core energy tables over `1..=min(max_ways, total_ways)`
-    /// (`energies[i][w - 1]`).
-    energies: &'a [Vec<f64>],
-    /// Per-core prefix minima: `prefix_min[i][w - 1]` is the cheapest
-    /// energy core `i` can reach with at most `w` ways.
-    prefix_min: &'a [Vec<f64>],
-    total_ways: usize,
-    stats: GameStats,
-    /// Best equilibrium so far: `(total energy, strategies)`.
-    best: Option<(f64, Vec<usize>)>,
+/// Why [`min_energy_equilibrium`] returned no outcome.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EquilibriumError {
+    /// No strategy vector fits: some curve is fully infeasible, or the
+    /// minimal feasible profile needs more than `total_ways` ways.
+    Infeasible,
+    /// The canonicalized optimum (carried here) failed the
+    /// [`is_pure_nash`] certificate. Exact arithmetic rules this out; an
+    /// f64 rounding tie at the optimum can cause it.
+    Uncertified(Vec<usize>),
 }
 
-impl Enumeration<'_> {
-    /// Extends the partial vector `strategies` (cores `0..i` fixed, `used`
-    /// ways consumed) over all completions, testing complete candidates for
-    /// the equilibrium property.
-    fn descend(&mut self, i: usize, used: usize, strategies: &mut Vec<usize>) {
-        let n = self.energies.len();
-        if i == n {
-            self.stats.equilibria_examined += 1;
-            let free = self.total_ways - used;
-            let mut total = 0.0;
-            for (core, &w) in strategies.iter().enumerate() {
-                let energy = self.energies[core][w - 1];
-                // Nash test via the prefix-minimum table: core `core` has a
-                // strictly cheaper deviation iff the prefix minimum over its
-                // budget undercuts its current energy. Structurally
-                // different from `is_pure_nash`'s naive scan on purpose —
-                // the checker stays independent of the solver.
-                let budget = (w + free).min(self.energies[core].len());
-                if self.prefix_min[core][budget - 1] < energy {
-                    return;
-                }
-                total += energy;
-            }
-            // Enumeration is lexicographic, so a strict `<` keeps the
-            // lexicographically smallest strategy vector on energy ties.
-            if self.best.as_ref().is_none_or(|(best, _)| total < *best) {
-                self.best = Some((total, strategies.clone()));
-            }
-            return;
-        }
-        let reserved = n - i - 1; // later cores need at least one way each
-        for w in 1..=self.energies[i].len() {
-            if used + w + reserved > self.total_ways {
-                break;
-            }
-            if !self.energies[i][w - 1].is_finite() {
-                continue;
-            }
-            strategies.push(w);
-            self.descend(i + 1, used + w, strategies);
-            strategies.pop();
-        }
-    }
-}
-
-/// ZERO-Regrets-style equilibrium selection: enumerates every candidate
-/// strategy vector (each core `1..=total_ways` feasible ways, sum at most
-/// `total_ways`), keeps the pure Nash equilibria, and returns the one with
-/// the minimum total energy (lexicographically smallest strategies on
-/// ties). `None` when no candidate exists (some curve fully infeasible, or
-/// the minimal feasible profile does not fit).
+/// Minimum-total-energy pure Nash equilibrium: the slack-allowed
+/// cooperative optimum, canonicalized and certified.
 ///
-/// In this game free disposal makes the social optimum itself an
-/// equilibrium — a unilateral deviation that lowers one core's energy
-/// also lowers the total, contradicting optimality — so the selected
-/// equilibrium matches the slack-allowed cooperative optimum and the best
-/// equilibrium's price of anarchy is 1 by construction. The enumeration is
-/// combinatorial in the core count; see the module docs for sizes.
+/// 1. **Solve.** Run the exact-sum min-plus reduction
+///    ([`optimize_partition_with_stats`]) on each curve's prefix minimum,
+///    padded to `total_ways` ([`EnergyCurve::smooth_monotone`]). Its
+///    optimum is the slack-allowed one: a slack vector pads up to an
+///    exact-sum one of no greater prefix-min cost, and an exact-sum vector
+///    shrinks to the ways that attain its prefix minima.
+/// 2. **Canonicalize.** Move each core to the smallest way count with its
+///    energy in that optimum.
+/// 3. **Certify** the vector with [`is_pure_nash`], or return
+///    [`EquilibriumError::Uncertified`].
 ///
-/// Every complete candidate vector counts one
-/// [`GameStats::equilibria_examined`].
+/// Nothing is enumerated because, under free disposal, a unilateral
+/// deviation that lowers one core's energy lowers the total too and still
+/// fits the way budget: the social optimum is itself an equilibrium, and
+/// no equilibrium costs less. The work is one `O(cores · ways²)` reduction
+/// at any core count, and the best equilibrium's price of anarchy is 1 by
+/// construction.
+///
+/// **Tie-break contract.** The per-core energies, and so the predicted
+/// total, are bitwise those [`crate::global::optimize_partition`] picks on
+/// the prefix-min curves; within its energy each core takes the fewest
+/// ways, leaving the rest in the free pool.
+///
+/// Returns [`EquilibriumError::Infeasible`] when no strategy vector fits.
+/// Each candidate put to the certificate counts one
+/// [`GameStats::equilibria_examined`]; the reduction's work lands in
+/// [`GameStats::reduction`].
 pub fn min_energy_equilibrium(
     curves: &[EnergyCurve],
     total_ways: usize,
-) -> (Option<GameOutcome>, GameStats) {
-    let stats = GameStats::default();
-    if curves.is_empty() || total_ways < curves.len() {
-        return (None, stats);
-    }
-    let energies: Vec<Vec<f64>> = curves
+) -> (Result<GameOutcome, EquilibriumError>, GameStats) {
+    let prefix_min: Vec<EnergyCurve> = curves
         .iter()
         .map(|curve| {
-            (1..=curve.max_ways().min(total_ways))
-                .map(|w| curve.energy(w))
-                .collect()
+            let mut padded = EnergyCurve::new((1..=total_ways).map(|w| curve.point(w)).collect());
+            padded.smooth_monotone();
+            padded
         })
         .collect();
-    if energies.iter().any(Vec::is_empty) {
-        return (None, stats);
-    }
-    let prefix_min: Vec<Vec<f64>> = energies
+    let (optimum, reduction) = optimize_partition_with_stats(&prefix_min, total_ways);
+    let mut stats = GameStats {
+        reduction,
+        ..GameStats::default()
+    };
+    let Some(optimum) = optimum else {
+        return (Err(EquilibriumError::Infeasible), stats);
+    };
+    let strategies: Vec<usize> = curves
         .iter()
-        .map(|row| {
-            let mut best = f64::INFINITY;
-            row.iter()
-                .map(|&e| {
-                    best = best.min(e);
-                    best
-                })
-                .collect()
+        .zip(&optimum)
+        .map(|(curve, &(ways, point))| {
+            (1..=ways)
+                .find(|&w| curve.energy(w) == point.energy_joules)
+                .expect("a prefix minimum is attained at or below its way count")
         })
         .collect();
 
-    let mut enumeration = Enumeration {
-        energies: &energies,
-        prefix_min: &prefix_min,
-        total_ways,
-        stats,
-        best: None,
-    };
-    enumeration.descend(0, 0, &mut Vec::with_capacity(curves.len()));
-    let stats = enumeration.stats;
-    let Some((energy, strategies)) = enumeration.best else {
-        return (None, stats);
-    };
+    stats.equilibria_examined += 1;
+    if !is_pure_nash(curves, total_ways, &strategies) {
+        return (Err(EquilibriumError::Uncertified(strategies)), stats);
+    }
     let points: Vec<CurvePoint> = curves
         .iter()
         .zip(&strategies)
-        .map(|(curve, &w)| curve.point(w).expect("equilibrium candidates are feasible"))
+        .map(|(curve, &w)| curve.point(w).expect("certified strategies are feasible"))
         .collect();
+    let energy = total_energy(curves, &strategies);
     (
-        Some(GameOutcome {
+        Ok(GameOutcome {
             strategies,
             points,
             total_energy: energy,
@@ -511,11 +476,17 @@ mod tests {
         assert!(best_response(&curves, 4, &GameConfig::default())
             .0
             .is_none());
-        assert!(min_energy_equilibrium(&curves, 4).0.is_none());
+        assert_eq!(
+            min_energy_equilibrium(&curves, 4).0,
+            Err(EquilibriumError::Infeasible)
+        );
         // Minimal feasible profile does not fit.
         let tight = vec![curve(&[INF, INF, 1.0]), curve(&[INF, 2.0, 1.0])];
         assert!(best_response(&tight, 4, &GameConfig::default()).0.is_none());
-        assert!(min_energy_equilibrium(&tight, 4).0.is_none());
+        assert_eq!(
+            min_energy_equilibrium(&tight, 4).0,
+            Err(EquilibriumError::Infeasible)
+        );
         assert!(best_response(&[], 4, &GameConfig::default()).0.is_none());
     }
 
@@ -549,7 +520,7 @@ mod tests {
     fn equilibrium_selection_matches_brute_force() {
         // Non-monotone curves with holes: enumerate all strategy vectors,
         // filter with the independent checker, take the cheapest — the
-        // solver must agree exactly.
+        // solver must agree exactly (the optimum here is unique).
         let curves = vec![
             curve(&[6.0, 2.0, 4.0, INF, 1.5]),
             curve(&[3.0, INF, 1.0, 2.5, 2.0]),
@@ -578,8 +549,32 @@ mod tests {
         let (brute_energy, brute_strategies) = best.expect("an equilibrium exists");
         assert_eq!(outcome.strategies, brute_strategies);
         assert!((outcome.total_energy - brute_energy).abs() < 1e-12);
-        assert!(stats.equilibria_examined > 0);
-        assert_eq!(stats.rounds, 0);
+        assert_eq!(stats.equilibria_examined, 1, "one certified candidate");
+        assert!(stats.reduction.ops > 0);
+        assert_eq!((stats.rounds, stats.evaluations), (0, 0));
+    }
+
+    #[test]
+    fn equilibrium_ties_break_towards_fewer_ways() {
+        // Flat tails: each core keeps the smallest way count at its optimal
+        // energy, and the rest of the cache stays in the free pool.
+        let curves = vec![curve(&[5.0, 2.0, 2.0, 2.0]), curve(&[3.0, 3.0, 3.0, 3.0])];
+        let (outcome, _) = min_energy_equilibrium(&curves, 4);
+        assert_eq!(outcome.unwrap().strategies, vec![2, 1]);
+    }
+
+    #[test]
+    fn rounding_tie_at_the_optimum_is_reported_uncertified() {
+        // 1e17 absorbs the second core's one-joule difference in f64, so
+        // the reduction cannot tell 1 way (2 J) from 2 ways (1 J) for core
+        // 0 and keeps the first split it scans. That vector is not an
+        // equilibrium — core 0 can grow into the free way — and the
+        // certificate says so instead of returning it.
+        let curves = vec![curve(&[2.0, 1.0]), curve(&[1e17])];
+        let (outcome, stats) = min_energy_equilibrium(&curves, 3);
+        assert_eq!(outcome, Err(EquilibriumError::Uncertified(vec![1, 1])));
+        assert!(!is_pure_nash(&curves, 3, &[1, 1]));
+        assert_eq!(stats.equilibria_examined, 1);
     }
 
     #[test]

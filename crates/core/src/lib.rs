@@ -63,7 +63,7 @@ pub use curve::{CurvePoint, EnergyCurve};
 pub use curve_builder::{CurveBuild, CurveBuilder};
 pub use game::{
     best_response, distribute_slack, is_pure_nash, min_energy_equilibrium, total_energy,
-    GameConfig, GameOutcome, GameStats, PartitionAlgo,
+    EquilibriumError, GameConfig, GameOutcome, GameStats, PartitionAlgo,
 };
 pub use global::{
     exhaustive_partition, incumbent_energy, optimize_partition, optimize_partition_scalar,

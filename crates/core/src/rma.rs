@@ -2,7 +2,9 @@
 
 use crate::curve::EnergyCurve;
 use crate::game::{self, GameConfig, PartitionAlgo};
-use crate::global::{incumbent_energy, optimize_partition_with_stats, IncrementalOptimizer};
+use crate::global::{
+    incumbent_energy, optimize_partition_with_stats, IncrementalOptimizer, PruneStats,
+};
 use crate::local::{LocalOptimizer, LocalOptimizerConfig};
 use crate::memo::{self, CurveCache, CurveKey, ObservationDigests};
 use crate::model::ModelKind;
@@ -122,8 +124,9 @@ pub struct RmaWorkCounters {
     pub game_rounds: u64,
     /// Single-core energy lookups performed while computing best responses.
     pub best_response_evaluations: u64,
-    /// Candidate strategy vectors examined by the equilibrium-selection
-    /// enumeration.
+    /// Candidate strategy vectors put to the equilibrium certificate by
+    /// the NashEq global step: one per solve that found an optimum
+    /// ([`crate::GameStats::equilibria_examined`]).
     pub equilibria_examined: u64,
     /// Invocations whose per-core observation digest matched the previous
     /// interval, so the retained curve was reused with no model evaluation
@@ -138,8 +141,17 @@ pub struct RmaWorkCounters {
     /// recomputing (only ticks in incremental mode).
     pub warm_rows_reused: u64,
     /// Full 4-wide chunk passes executed by the chunked min-plus kernel
-    /// across all cooperative global steps.
+    /// across all cooperative and NashEq global steps.
     pub chunked_conv_lanes: u64,
+}
+
+impl RmaWorkCounters {
+    /// Folds one min-plus reduction's work into the convolution counters.
+    fn add_reduction(&mut self, stats: PruneStats) {
+        self.reduction_ops += stats.ops;
+        self.reduction_pruned += stats.pruned;
+        self.chunked_conv_lanes += stats.lanes;
+    }
 }
 
 impl std::fmt::Display for RmaWorkCounters {
@@ -355,9 +367,9 @@ impl CoordinatedRma {
 
     /// A manager on the RM2 knobs whose global step applies the
     /// minimum-total-energy pure Nash equilibrium
-    /// ([`crate::game::min_energy_equilibrium`]). Equilibrium enumeration
-    /// is combinatorial in the core count — use on small (≤ 4-core)
-    /// platforms.
+    /// ([`crate::game::min_energy_equilibrium`]): the certified
+    /// slack-allowed cooperative optimum, at the cooperative arbiter's cost
+    /// on any core count.
     pub fn nash_equilibrium(platform: &PlatformConfig, qos: Vec<QosSpec>) -> Self {
         let mut config = RmaConfig::paper1(qos);
         config.partition_algo = PartitionAlgo::NashMinEnergyEquilibrium;
@@ -590,9 +602,7 @@ impl ResourceManager for CoordinatedRma {
                     total_ways,
                     incumbent,
                 );
-                self.counters.reduction_ops += prune_stats.ops;
-                self.counters.reduction_pruned += prune_stats.pruned;
-                self.counters.chunked_conv_lanes += prune_stats.lanes;
+                self.counters.add_reduction(prune_stats);
                 self.counters.warm_rows_reused += warm.rows_reused;
                 self.pending_dirty.iter_mut().for_each(|d| *d = false);
                 if let Some(allocation) = &allocation {
@@ -602,9 +612,7 @@ impl ResourceManager for CoordinatedRma {
             }
             PartitionAlgo::Cooperative => {
                 let (allocation, prune_stats) = optimize_partition_with_stats(&curves, total_ways);
-                self.counters.reduction_ops += prune_stats.ops;
-                self.counters.reduction_pruned += prune_stats.pruned;
-                self.counters.chunked_conv_lanes += prune_stats.lanes;
+                self.counters.add_reduction(prune_stats);
                 allocation
             }
             PartitionAlgo::NashBestResponse => {
@@ -616,10 +624,11 @@ impl ResourceManager for CoordinatedRma {
             }
             PartitionAlgo::NashMinEnergyEquilibrium => {
                 let (outcome, stats) = game::min_energy_equilibrium(&curves, total_ways);
-                self.counters.game_rounds += stats.rounds;
-                self.counters.best_response_evaluations += stats.evaluations;
+                self.counters.add_reduction(stats.reduction);
                 self.counters.equilibria_examined += stats.equilibria_examined;
-                outcome.map(|o| o.exact_sum_allocation(total_ways))
+                // An uncertified candidate is handled like an infeasible
+                // solve: the current setting is kept.
+                outcome.ok().map(|o| o.exact_sum_allocation(total_ways))
             }
         };
         let Some(allocation) = allocation else {
@@ -1000,7 +1009,10 @@ mod tests {
         let setting = run_all_cores(&mut eq, observations());
         assert!(setting.validate(&p).is_ok());
         let counters = eq.work_counters();
-        assert!(counters.equilibria_examined > 0, "no candidates examined");
+        // Only the last core's invocation has every curve, so exactly one
+        // global step runs and certifies exactly one candidate.
+        assert_eq!(counters.equilibria_examined, 1);
+        assert!(counters.reduction_ops > 0, "the solve runs the reduction");
         assert_eq!(counters.game_rounds, 0);
 
         // The cooperative manager never touches the game counters.

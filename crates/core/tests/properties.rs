@@ -5,38 +5,61 @@ use qosrm_core::{
     best_response, exhaustive_partition, incumbent_energy, is_pure_nash, min_energy_equilibrium,
     optimize_partition, optimize_partition_scalar, optimize_partition_unpruned,
     optimize_partition_with_stats, total_energy, CoordinatedRma, CurvePoint, EnergyCurve,
-    GameConfig, IncrementalOptimizer, LocalOptimizer, LocalOptimizerConfig, ModelKind,
+    EquilibriumError, GameConfig, IncrementalOptimizer, LocalOptimizer, LocalOptimizerConfig,
+    ModelKind,
 };
 use qosrm_types::{
     AppId, CoreId, CoreObservation, CoreScalingProfile, CoreSizeIdx, FreqLevel, IntervalStats,
     MissProfile, MlpProfile, PlatformConfig, QosSpec, ResourceManager, SystemSetting,
 };
 
+/// Builds a curve from per-way energies, `None` marking infeasible ways.
+fn curve_from(energies: impl IntoIterator<Item = Option<f64>>) -> EnergyCurve {
+    EnergyCurve::new(
+        energies
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| {
+                e.map(|energy_joules| CurvePoint {
+                    energy_joules,
+                    freq: FreqLevel(i % 13),
+                    core_size: CoreSizeIdx(i % 3),
+                    time_seconds: 0.05,
+                    ways: i + 1,
+                })
+            })
+            .collect(),
+    )
+}
+
+/// Curves with infeasible holes anywhere (about one way in four), not just
+/// a leading prefix.
+fn holey_curve_strategy(max_ways: usize) -> impl Strategy<Value = EnergyCurve> {
+    (
+        prop::collection::vec(0.1f64..20.0, max_ways),
+        prop::collection::vec(0u64..4, max_ways),
+    )
+        .prop_map(|(energies, holes)| {
+            curve_from(
+                energies
+                    .into_iter()
+                    .zip(holes)
+                    .map(|(e, h)| (h > 0).then_some(e)),
+            )
+        })
+}
+
 fn curve_strategy(max_ways: usize) -> impl Strategy<Value = EnergyCurve> {
     // Leading infeasible prefix of 0..=3 ways, then arbitrary positive
     // energies.
-    (0usize..4, prop::collection::vec(0.1f64..20.0, max_ways)).prop_map(
-        move |(infeasible, energies)| {
-            let points = energies
+    (0usize..4, prop::collection::vec(0.1f64..20.0, max_ways)).prop_map(|(infeasible, energies)| {
+        curve_from(
+            energies
                 .into_iter()
                 .enumerate()
-                .map(|(i, e)| {
-                    if i < infeasible {
-                        None
-                    } else {
-                        Some(CurvePoint {
-                            energy_joules: e,
-                            freq: FreqLevel(i % 13),
-                            core_size: CoreSizeIdx(i % 3),
-                            time_seconds: 0.05,
-                            ways: i + 1,
-                        })
-                    }
-                })
-                .collect();
-            EnergyCurve::new(points)
-        },
-    )
+                .map(|(i, e)| (i >= infeasible).then_some(e)),
+        )
+    })
 }
 
 proptest! {
@@ -504,12 +527,14 @@ proptest! {
         }
     }
 
-    /// Equilibrium selection returns the minimum-total-energy equilibrium:
-    /// brute-force every strategy vector, keep those the independent checker
-    /// certifies, and the solver's pick must match the cheapest exactly.
+    /// Equilibrium selection returns the minimum-total-energy equilibrium
+    /// on 2–4-core curves with holes anywhere: brute-force every strategy
+    /// vector, keep those the independent checker certifies, and the
+    /// solver must agree on existence and on the cheapest total, with an
+    /// outcome that passes the checker itself.
     #[test]
     fn equilibrium_selection_is_the_minimum_energy_equilibrium(
-        curves in prop::collection::vec(curve_strategy(8), 2..4),
+        curves in prop::collection::vec(holey_curve_strategy(8), 2..5),
     ) {
         let total_ways = 8usize;
         let (outcome, stats) = min_energy_equilibrium(&curves, total_ways);
@@ -542,9 +567,9 @@ proptest! {
         }
 
         match (outcome, brute_best) {
-            (Some(outcome), Some(best)) => {
+            (Ok(outcome), Some(best)) => {
                 prop_assert!(outcome.converged);
-                prop_assert!(stats.equilibria_examined > 0);
+                prop_assert_eq!(stats.equilibria_examined, 1);
                 prop_assert!(
                     is_pure_nash(&curves, total_ways, &outcome.strategies),
                     "selected outcome {:?} is not an equilibrium",
@@ -557,11 +582,61 @@ proptest! {
                     best
                 );
             }
-            (None, None) => {}
+            (Err(EquilibriumError::Infeasible), None) => {
+                prop_assert_eq!(stats.equilibria_examined, 0);
+            }
             (outcome, brute) => prop_assert!(
                 false,
                 "existence disagreement: solver={outcome:?} brute={brute:?}"
             ),
+        }
+    }
+
+    /// At 16–32 cores on 64 ways — far past what enumeration could reach —
+    /// every outcome passes the certificate, and the solver reports
+    /// infeasibility exactly when the cores' minimal feasible way counts
+    /// do not fit.
+    #[test]
+    fn equilibrium_selection_certifies_many_core_outcomes(
+        curves in prop::collection::vec(curve_strategy(64), 16..33),
+    ) {
+        let total_ways = 64usize;
+        let minimal: usize = curves.iter().map(|c| c.min_feasible_ways().unwrap()).sum();
+        let (outcome, stats) = min_energy_equilibrium(&curves, total_ways);
+        if minimal > total_ways {
+            prop_assert_eq!(outcome, Err(EquilibriumError::Infeasible));
+        } else {
+            let outcome = outcome.expect("feasible many-core games are certified");
+            prop_assert!(is_pure_nash(&curves, total_ways, &outcome.strategies));
+            prop_assert!(outcome.strategies.iter().sum::<usize>() <= total_ways);
+            prop_assert_eq!(stats.equilibria_examined, 1);
+            prop_assert!(stats.reduction.ops > 0);
+        }
+    }
+
+    /// PoA = 1 is an invariant, not a measurement: on smoothed curves the
+    /// per-core energies the equilibrium solver picks are bitwise those of
+    /// the cooperative arbiter, and so is their total.
+    #[test]
+    fn equilibrium_energies_are_bitwise_the_cooperative_optimum(
+        curves in prop::collection::vec(curve_strategy(16), 2..9),
+        total_ways in 8usize..17,
+    ) {
+        let mut smoothed = curves;
+        for c in &mut smoothed {
+            c.smooth_monotone();
+        }
+        let coop = optimize_partition(&smoothed, total_ways);
+        let (equilibrium, _) = min_energy_equilibrium(&smoothed, total_ways);
+        prop_assert_eq!(coop.is_some(), equilibrium.is_ok());
+        if let (Some(coop), Ok(equilibrium)) = (coop, equilibrium) {
+            let coop_bits: Vec<u64> =
+                coop.iter().map(|(_, p)| p.energy_joules.to_bits()).collect();
+            let eq_bits: Vec<u64> =
+                equilibrium.points.iter().map(|p| p.energy_joules.to_bits()).collect();
+            prop_assert_eq!(coop_bits, eq_bits);
+            let coop_total: f64 = coop.iter().map(|(_, p)| p.energy_joules).sum();
+            prop_assert_eq!(coop_total.to_bits(), equilibrium.total_energy.to_bits());
         }
     }
 
@@ -582,8 +657,8 @@ proptest! {
         let (nash, _) = best_response(&curves, total_ways, &GameConfig::default());
         let (equilibrium, _) = min_energy_equilibrium(&curves, total_ways);
         prop_assert_eq!(coop.is_some(), nash.is_some());
-        prop_assert_eq!(coop.is_some(), equilibrium.is_some());
-        if let (Some(coop), Some(nash), Some(equilibrium)) = (coop, nash, equilibrium) {
+        prop_assert_eq!(coop.is_some(), equilibrium.is_ok());
+        if let (Some(coop), Some(nash), Ok(equilibrium)) = (coop, nash, equilibrium) {
             let coop_energy: f64 = coop.iter().map(|(_, p)| p.energy_joules).sum();
             prop_assert!(
                 nash.total_energy >= coop_energy - 1e-9,
@@ -618,8 +693,8 @@ proptest! {
         let second = min_energy_equilibrium(&curves, total_ways);
         prop_assert_eq!(&first.1, &second.1);
         prop_assert_eq!(
-            serde_json::to_string(&first.0).unwrap(),
-            serde_json::to_string(&second.0).unwrap()
+            serde_json::to_string(&first.0.ok()).unwrap(),
+            serde_json::to_string(&second.0.ok()).unwrap()
         );
     }
 }

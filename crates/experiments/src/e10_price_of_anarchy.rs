@@ -24,8 +24,8 @@
 //! honor the same per-core QoS constraints in their curves, so violations
 //! stay comparable).
 //!
-//! The grid is deliberately 4-core only: equilibrium enumeration is
-//! combinatorial in the core count (see [`qosrm_core::game`]).
+//! The grid is the Paper I 4-core one. The game solvers themselves run on
+//! any core count (see [`qosrm_core::game`]).
 
 use crate::context::{mean, ExperimentContext};
 use crate::report::{ExperimentReport, ReportRow};

@@ -3,16 +3,19 @@
 //! A [`experiments::ScenarioSpec`] is plain data: build it with the types
 //! of `experiments::spec`, save it as JSON, and feed it to the streaming
 //! CLI (`qosrm-experiments sweep run --spec FILE --out DIR`). This example
-//! regenerates the two spec files committed under `examples/specs/`:
+//! regenerates three of the spec files committed under `examples/specs/`:
 //!
 //! * `synth_smoke.json` — a small synthetic sweep the CI smoke step runs,
 //!   kills partway, resumes and merges;
 //! * `synth_sweep.json` — a 200-mix sweep drawing from three populations
 //!   (streaming-heavy, cache-sensitive, mixed) on 4-, 8- and 16-core
 //!   platforms: far beyond what the paper's hand-built mix tables cover,
-//!   and the scale the streaming executor exists for.
+//!   and the scale the streaming executor exists for;
+//! * `nash_scale.json` — RM2 next to the minimum-energy Nash equilibrium
+//!   manager on 8- and 16-core Paper I platforms, the CI kill/resume check
+//!   of the game solver beyond four cores.
 //!
-//! (The third committed spec, `e10_quick.json`, is owned by the E10
+//! (The fourth committed spec, `e10_quick.json`, is owned by the E10
 //! experiment module: regenerate it with `QOSRM_UPDATE_SPECS=1 cargo test
 //! -p experiments --lib committed_quick_spec_is_in_sync`.)
 //!
@@ -21,6 +24,7 @@
 use experiments::spec::{PlatformAxisSpec, PlatformSpec, ScenarioSpec, WorkloadSource};
 use experiments::sweep::{QosAxis, RmaVariant};
 use qosrm_types::QosSpec;
+use rma_sim::SimulationOptions;
 use workload::{MixPopulation, SynthSpec};
 
 fn synth_axis(
@@ -69,6 +73,26 @@ fn sweep_spec() -> ScenarioSpec {
     }
 }
 
+/// NashEq past four cores: 4 mixes × 2 platforms × 2 variants = 16
+/// scenarios on Paper I platforms, with E10's simulation options.
+fn nash_scale_spec() -> ScenarioSpec {
+    let paper1_axis = |num_cores| PlatformAxisSpec {
+        platform: PlatformSpec::Paper1 { num_cores },
+        ..synth_axis(num_cores, 4, MixPopulation::Mixed, "nash")
+    };
+    ScenarioSpec {
+        name: "nash-scale".to_string(),
+        platforms: vec![paper1_axis(8), paper1_axis(16)],
+        qos: vec![QosAxis::uniform("strict", QosSpec::STRICT)],
+        variants: vec![RmaVariant::Paper1, RmaVariant::NashEquilibrium],
+        // Paper I platform: no core re-configuration, no MLP-ATD hardware.
+        options: Some(SimulationOptions {
+            provide_mlp_profiles: false,
+            ..Default::default()
+        }),
+    }
+}
+
 fn main() {
     let out = std::env::args()
         .nth(1)
@@ -77,6 +101,7 @@ fn main() {
     for (file, spec) in [
         ("synth_smoke.json", smoke_spec()),
         ("synth_sweep.json", sweep_spec()),
+        ("nash_scale.json", nash_scale_spec()),
     ] {
         let path = out.join(file);
         spec.lower().expect("example specs must lower");
