@@ -726,6 +726,10 @@ pub struct ServeReport {
     pub cache_misses: u64,
     /// `cache_hits / (cache_hits + cache_misses)`.
     pub cache_hit_rate: f64,
+    /// Benchmark records the daemon's quick-mode context characterized per
+    /// repetition (deterministic: one per distinct benchmark across the
+    /// submitted variants, however many runs and mixes reference it).
+    pub records_built: u64,
     /// Submissions answered per second at the best wall time.
     pub specs_per_sec: f64,
     /// Outcomes streamed per second at the best wall time.
@@ -801,7 +805,7 @@ fn run_serve_bench_with_load(
     };
     let plan = serve_plan(&serve_bench_spec(), &load).expect("fixed spec must lower");
 
-    let mut counters: Option<(u64, u64, u64, u64, u64, u64)> = None;
+    let mut counters: Option<(u64, u64, u64, u64, u64, u64, u64)> = None;
     let mut best = f64::INFINITY;
     for repetition in 0..repetitions.max(1) {
         let dir = std::env::temp_dir().join(format!(
@@ -847,6 +851,11 @@ fn run_serve_bench_with_load(
             .iter()
             .find(|c| c.mode == "quick")
             .expect("quick-mode curve cache must be active");
+        let quick_records = stats
+            .simdb
+            .iter()
+            .find(|c| c.mode == "quick")
+            .expect("quick-mode record memo must be active");
         let run_counters = (
             stats.counters.submissions,
             stats.counters.runs_completed,
@@ -854,6 +863,7 @@ fn run_serve_bench_with_load(
             stats.counters.outcomes_streamed,
             quick_cache.hits,
             quick_cache.misses,
+            quick_records.records_built,
         );
         assert_eq!(
             quick_cache.evictions, 0,
@@ -872,7 +882,7 @@ fn run_serve_bench_with_load(
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    let (submissions, runs_completed, outcomes_total, outcomes_streamed, hits, misses) =
+    let (submissions, runs_completed, outcomes_total, outcomes_streamed, hits, misses, records) =
         counters.expect("at least one repetition ran");
     ServeReport {
         schema: SCHEMA.to_string(),
@@ -891,6 +901,7 @@ fn run_serve_bench_with_load(
         cache_hits: hits,
         cache_misses: misses,
         cache_hit_rate: hits as f64 / ((hits + misses) as f64).max(1.0),
+        records_built: records,
         specs_per_sec: submissions as f64 / best.max(f64::MIN_POSITIVE),
         outcomes_per_sec: outcomes_streamed as f64 / best.max(f64::MIN_POSITIVE),
         calibration_ops_per_sec,
@@ -1813,9 +1824,9 @@ pub fn compare_best_response(
 }
 
 /// Compares a fresh serving report against the committed baseline. The
-/// admission / streaming / cache counters are exact-compared — the daemon's
-/// single-worker serial configuration makes them independent of thread
-/// interleaving, so a drift means the protocol, the load plan, or the
+/// admission / streaming / cache / record counters are exact-compared —
+/// the daemon's single-worker serial configuration makes them independent
+/// of thread interleaving, so a drift means the protocol, the load plan, or the
 /// memoization behaviour changed and the baseline must be refreshed
 /// deliberately. The wall time of the submission mix is
 /// calibration-banded like every other gated workload.
@@ -1863,6 +1874,12 @@ pub fn compare_serve(
             "cache_misses",
             new.cache_misses,
             baseline.cache_misses,
+        ),
+        check_counter(
+            "serve",
+            "records_built",
+            new.records_built,
+            baseline.records_built,
         ),
     ]
 }
@@ -2192,7 +2209,8 @@ pub fn gate_main(args: &[String]) -> i32 {
     let serve = run_serve_bench(repetitions, calibration);
     println!(
         "serve: {:.4}s best of {}, {} submissions -> {} runs, {} outcomes streamed, \
-         cache {}/{} hit/miss ({:.0}% hit rate), {:.1} specs/s, {:.1} outcomes/s",
+         cache {}/{} hit/miss ({:.0}% hit rate), {} records built, {:.1} specs/s, \
+         {:.1} outcomes/s",
         serve.wall_seconds,
         serve.repetitions,
         serve.specs_submitted,
@@ -2201,6 +2219,7 @@ pub fn gate_main(args: &[String]) -> i32 {
         serve.cache_hits,
         serve.cache_misses,
         serve.cache_hit_rate * 100.0,
+        serve.records_built,
         serve.specs_per_sec,
         serve.outcomes_per_sec
     );
@@ -2669,6 +2688,7 @@ mod tests {
             cache_hits: hits,
             cache_misses: 30,
             cache_hit_rate: hits as f64 / (hits + 30) as f64,
+            records_built: 25,
             specs_per_sec: 24.0 / wall,
             outcomes_per_sec: streamed as f64 / wall,
             calibration_ops_per_sec: 1_000_000.0,
@@ -2693,6 +2713,11 @@ mod tests {
         assert!(compare_serve(&serve_report(0.5, 18, 61), &base, 0.20)
             .iter()
             .any(|o| matches!(o, GateOutcome::CounterDrift(_))));
+        let mut rebuilt = serve_report(0.5, 18, 60);
+        rebuilt.records_built += 1;
+        assert!(compare_serve(&rebuilt, &base, 0.20)
+            .iter()
+            .any(|o| matches!(o, GateOutcome::CounterDrift(_))));
     }
 
     #[test]
@@ -2709,6 +2734,25 @@ mod tests {
         assert_eq!(a.outcomes_streamed, b.outcomes_streamed);
         assert_eq!(a.cache_hits, b.cache_hits);
         assert_eq!(a.cache_misses, b.cache_misses);
+        assert_eq!(a.records_built, b.records_built);
+        // One record per distinct benchmark of the two submitted variants.
+        let load = LoadConfig {
+            clients: 2,
+            per_client: 2,
+            distinct: 2,
+            seed: 2024,
+            quick: true,
+            shard_size: 1,
+        };
+        let mut benchmarks = std::collections::BTreeSet::new();
+        for spec in serve_plan(&serve_bench_spec(), &load).unwrap().specs {
+            for axis in spec.lower().unwrap().platforms {
+                for mix in axis.mixes {
+                    benchmarks.extend(mix.benchmarks);
+                }
+            }
+        }
+        assert_eq!(a.records_built, benchmarks.len() as u64);
         assert_eq!(a.specs_submitted, 4);
         assert_eq!(a.runs_executed, 2);
         assert!(a.outcomes_total > 0 && a.cache_misses > 0);

@@ -172,11 +172,6 @@ impl ReplayProfile {
         self.scale
     }
 
-    /// Number of profiled (observed) accesses.
-    pub fn observed_accesses(&self) -> u64 {
-        self.records.len() as u64
-    }
-
     /// Misses for a cache with `ways` ways per set (scaled to the whole
     /// cache when the profile is set-sampled).
     pub fn misses_at(&self, ways: usize) -> u64 {

@@ -55,15 +55,6 @@ impl IntervalModel {
         }
     }
 
-    /// Creates the model from explicit memory parameters (used in tests).
-    pub fn with_memory(memory: MemoryParams, num_cores: usize) -> Self {
-        IntervalModel {
-            memory,
-            num_cores,
-            queue_coefficient: 1.0,
-        }
-    }
-
     /// Evaluates the timing of one interval of `phase` at configuration
     /// `(size, vf, ways)`.
     pub fn evaluate(

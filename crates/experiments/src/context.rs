@@ -3,15 +3,18 @@
 
 use crate::sweep::SweepOptions;
 use crate::sync::LockUnpoisoned;
+use qosrm_core::memo::CurveKey;
 use qosrm_core::{CurveCache, RmaWorkCounters};
 use qosrm_types::{PlatformConfig, QosSpec, ResourceManager};
+use rayon::prelude::*;
 use rma_sim::{Comparison, CophaseSimulator, SimulationOptions, SimulationResult};
-use simdb::builder::{build_database_for_mixes, BuildOptions};
-use simdb::SimDb;
+use simdb::builder::{build_record, BuildOptions};
+use simdb::{BenchmarkRecord, SimDb};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
-use workload::WorkloadMix;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use workload::{PhaseCharacterizer, WorkloadMix};
 
 /// Session-wide aggregation of the measured RMA work counters
 /// ([`RmaWorkCounters`]) of every manager a sweep evaluated. The sweep
@@ -67,6 +70,33 @@ impl RmaTelemetry {
     }
 }
 
+/// Work counters of a context's benchmark-record memo (see
+/// [`ExperimentContext::database`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecordCounters {
+    /// Records materialized into the memo: one per distinct (platform,
+    /// mode, benchmark) triple the context was asked for, whether
+    /// characterized or read from the on-disk cache.
+    pub records_built: u64,
+    /// Record requests answered by the memo instead (counted once per
+    /// distinct benchmark of each database request).
+    pub records_reused: u64,
+}
+
+/// Key of one memoized record: the digest of the *full* platform
+/// configuration, quick mode, and the benchmark name.
+type RecordKey = (CurveKey, bool, String);
+
+/// Per-benchmark record memo. Each key holds its own once-cell, so two
+/// threads that miss the same benchmark concurrently characterize it once:
+/// the second blocks on the cell instead of building a duplicate.
+#[derive(Default)]
+struct RecordMemo {
+    cells: Mutex<HashMap<RecordKey, Arc<OnceLock<BenchmarkRecord>>>>,
+    built: AtomicU64,
+    reused: AtomicU64,
+}
+
 /// Shared state of an experiment session.
 pub struct ExperimentContext {
     /// Quick mode: fewer workloads and a coarser characterization, intended
@@ -83,7 +113,7 @@ pub struct ExperimentContext {
     /// Aggregated measured RMA work of every sweep-evaluated manager of the
     /// session (see [`RmaTelemetry`]).
     rma_telemetry: Arc<RmaTelemetry>,
-    databases: Mutex<HashMap<String, SimDb>>,
+    records: RecordMemo,
 }
 
 impl ExperimentContext {
@@ -95,11 +125,11 @@ impl ExperimentContext {
             sweep: SweepOptions::default(),
             curve_cache: Arc::new(CurveCache::new()),
             rma_telemetry: Arc::new(RmaTelemetry::default()),
-            databases: Mutex::new(HashMap::new()),
+            records: RecordMemo::default(),
         }
     }
 
-    /// Enables on-disk caching of simulation databases under `dir`.
+    /// Enables on-disk caching of benchmark records under `dir`.
     pub fn with_cache_dir(mut self, dir: PathBuf) -> Self {
         self.cache_dir = Some(dir);
         self
@@ -120,6 +150,14 @@ impl ExperimentContext {
     /// The session-wide aggregated RMA work telemetry.
     pub fn rma_telemetry(&self) -> &Arc<RmaTelemetry> {
         &self.rma_telemetry
+    }
+
+    /// The record memo's counters so far.
+    pub fn record_counters(&self) -> RecordCounters {
+        RecordCounters {
+            records_built: self.records.built.load(Ordering::Relaxed),
+            records_reused: self.records.reused.load(Ordering::Relaxed),
+        }
     }
 
     /// Workload prefix kept by quick mode (the representative subset the
@@ -160,13 +198,18 @@ impl ExperimentContext {
         }
     }
 
-    /// Returns (building and caching if necessary) the simulation database
-    /// covering `mixes` on `platform`.
+    /// Returns the simulation database covering `mixes` on `platform`.
     ///
-    /// The cache key digests the *full* platform configuration: the
-    /// simulator takes its platform from the database, so two platforms
-    /// differing in any parameter (e.g. only the baseline VF level, as in
-    /// E4's sensitivity axes) must never share a database.
+    /// Every benchmark is characterized at most once per context: records
+    /// are memoized per (platform, mode, benchmark) and each database is
+    /// assembled from them, so overlapping mix sets share their common
+    /// benchmarks' records. Missing records are built in parallel (and, with
+    /// a cache directory, loaded from or saved to one JSON file each).
+    ///
+    /// The key digests the *full* platform configuration: the simulator
+    /// takes its platform from the database, and characterization depends on
+    /// it, so two platforms differing in any parameter (e.g. only the
+    /// baseline VF level, as in E4's sensitivity axes) never share a record.
     pub fn database(&self, platform: &PlatformConfig, mixes: &[WorkloadMix]) -> SimDb {
         let mut names: Vec<&str> = mixes
             .iter()
@@ -174,33 +217,68 @@ impl ExperimentContext {
             .collect();
         names.sort_unstable();
         names.dedup();
-        let platform_digest = qosrm_core::memo::fingerprint(platform);
-        let key = format!(
-            "{:016x}{:016x}-{}-{}",
-            platform_digest.0,
-            platform_digest.1,
-            if self.quick { "quick" } else { "full" },
-            names.join(",")
-        );
-        {
-            let cache = self.databases.lock_unpoisoned();
-            if let Some(db) = cache.get(&key) {
-                return db.clone();
-            }
-        }
-        let options = self.build_options(platform);
-        let db = if let Some(dir) = &self.cache_dir {
-            let digest = fnv(&key);
-            let path = dir.join(format!("simdb-{digest:016x}.json"));
-            simdb::persist::load_or_build(&path, || {
-                build_database_for_mixes(platform, mixes, &options)
-            })
-            .unwrap_or_else(|_| build_database_for_mixes(platform, mixes, &options))
-        } else {
-            build_database_for_mixes(platform, mixes, &options)
+        let digest = qosrm_core::memo::fingerprint(platform);
+        let cells: Vec<(&str, Arc<OnceLock<BenchmarkRecord>>)> = {
+            let mut memo = self.records.cells.lock_unpoisoned();
+            names
+                .into_iter()
+                .filter_map(|name| {
+                    let key = (digest, self.quick, name.to_string());
+                    if let Some(cell) = memo.get(&key) {
+                        return Some((name, cell.clone()));
+                    }
+                    // Names outside the suite have no record (as in
+                    // `build_database_for_mixes`); they are never memoized.
+                    workload::benchmark(name)?;
+                    Some((name, memo.entry(key).or_default().clone()))
+                })
+                .collect()
         };
-        self.databases.lock_unpoisoned().insert(key, db.clone());
-        db
+        let missing: Vec<&(&str, Arc<OnceLock<BenchmarkRecord>>)> = cells
+            .iter()
+            .filter(|(_, cell)| cell.get().is_none())
+            .collect();
+        let mut built_here = 0;
+        if !missing.is_empty() {
+            let options = self.build_options(platform);
+            let characterizer = PhaseCharacterizer::new(platform, options.characterization.clone());
+            let build = |name: &str| {
+                let profile = workload::benchmark(name).expect("memoized names are in the suite");
+                build_record(&profile, &characterizer, platform, &options.thresholds)
+            };
+            built_here = missing
+                .par_iter()
+                .map(|(name, cell)| {
+                    let mut built = false;
+                    cell.get_or_init(|| {
+                        built = true;
+                        match &self.cache_dir {
+                            Some(dir) => {
+                                let mode = if self.quick { "quick" } else { "full" };
+                                let path = dir.join(format!(
+                                    "record-{:016x}{:016x}-{mode}-{name}.json",
+                                    digest.0, digest.1
+                                ));
+                                simdb::persist::load_or_build_record(&path, name, || build(name))
+                            }
+                            None => build(name),
+                        }
+                    });
+                    u64::from(built)
+                })
+                .collect::<Vec<u64>>()
+                .into_iter()
+                .sum();
+        }
+        self.records.built.fetch_add(built_here, Ordering::Relaxed);
+        self.records
+            .reused
+            .fetch_add(cells.len() as u64 - built_here, Ordering::Relaxed);
+        let records = cells
+            .iter()
+            .map(|(_, cell)| cell.get().expect("every record was initialized").clone())
+            .collect();
+        SimDb::new(platform.clone(), records)
     }
 
     /// Runs `mix` under `manager` and compares against the baseline run.
@@ -239,15 +317,6 @@ impl ExperimentContext {
     }
 }
 
-fn fnv(s: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
 /// Mean of a slice (0 when empty).
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -283,17 +352,125 @@ mod tests {
         assert_eq!(full.limit_workloads(mixes.clone()).len(), mixes.len());
     }
 
+    fn mix(name: &str, benchmarks: [&str; 4]) -> WorkloadMix {
+        WorkloadMix::new(name, benchmarks.to_vec())
+    }
+
     #[test]
     fn database_is_memoized() {
         let ctx = ExperimentContext::new(true);
         let platform = PlatformConfig::paper2(4);
-        let mixes = vec![WorkloadMix::new(
+        let mixes = vec![mix(
             "t",
-            vec!["gamess_like", "povray_like", "gamess_like", "povray_like"],
+            ["gamess_like", "povray_like", "gamess_like", "povray_like"],
         )];
         let a = ctx.database(&platform, &mixes);
         let b = ctx.database(&platform, &mixes);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
+        assert_eq!(
+            ctx.record_counters(),
+            RecordCounters {
+                records_built: 2,
+                records_reused: 2,
+            }
+        );
+    }
+
+    #[test]
+    fn overlapping_sets_share_records_and_match_a_fresh_build() {
+        let ctx = ExperimentContext::new(true);
+        let platform = PlatformConfig::paper2(4);
+        let first = vec![mix(
+            "a",
+            ["gamess_like", "povray_like", "gamess_like", "povray_like"],
+        )];
+        let second = vec![mix(
+            "b",
+            ["povray_like", "mcf_like", "not_a_benchmark", "povray_like"],
+        )];
+        ctx.database(&platform, &first);
+        let db = ctx.database(&platform, &second);
+        let options = BuildOptions::quick_for_tests(&platform);
+        assert_eq!(
+            db,
+            simdb::builder::build_database_for_mixes(&platform, &second, &options)
+        );
+        // povray is reused; the unknown name is skipped, never counted.
+        assert_eq!(
+            ctx.record_counters(),
+            RecordCounters {
+                records_built: 3,
+                records_reused: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn platforms_differing_in_any_parameter_never_share_records() {
+        let ctx = ExperimentContext::new(true);
+        let platform = PlatformConfig::paper2(4);
+        let mut other = platform.clone();
+        // Only the baseline VF level differs, as on E4's sensitivity axes.
+        other.vf = other.vf.with_baseline(qosrm_types::FreqLevel(4)).unwrap();
+        let mixes = vec![mix(
+            "t",
+            ["gamess_like", "gamess_like", "gamess_like", "gamess_like"],
+        )];
+        let a = ctx.database(&platform, &mixes);
+        let b = ctx.database(&other, &mixes);
+        assert_eq!(b.platform(), &other);
+        assert_ne!(a.platform(), b.platform());
+        assert_eq!(ctx.record_counters().records_built, 2);
+    }
+
+    #[test]
+    fn concurrent_misses_build_each_record_once() {
+        let ctx = ExperimentContext::new(true);
+        let platform = PlatformConfig::paper2(4);
+        let mixes = vec![mix(
+            "t",
+            ["gamess_like", "povray_like", "mcf_like", "povray_like"],
+        )];
+        let start = std::sync::Barrier::new(2);
+        let dbs: Vec<SimDb> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        ctx.database(&platform, &mixes)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(dbs[0], dbs[1]);
+        assert_eq!(
+            ctx.record_counters(),
+            RecordCounters {
+                records_built: 3,
+                records_reused: 3,
+            }
+        );
+    }
+
+    #[test]
+    fn cache_dir_persists_each_record() {
+        let dir =
+            std::env::temp_dir().join(format!("qosrm-record-cache-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let platform = PlatformConfig::paper2(4);
+        let mixes = vec![mix(
+            "t",
+            ["gamess_like", "povray_like", "gamess_like", "povray_like"],
+        )];
+        let cold = ExperimentContext::new(true).with_cache_dir(dir.clone());
+        let built = cold.database(&platform, &mixes);
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 2, "one file per record");
+        // A second context loads both records instead of characterizing.
+        let warm = ExperimentContext::new(true).with_cache_dir(dir.clone());
+        assert_eq!(warm.database(&platform, &mixes), built);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -44,6 +44,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -407,7 +408,6 @@ pub fn evaluate_grant<C: Coordination + Sync>(
         memoize: true,
         incremental: true,
     };
-    let stop = AtomicBool::new(false);
     let heartbeat = HeartbeatRequest {
         worker: worker.to_string(),
         run: grant.run.clone(),
@@ -415,39 +415,48 @@ pub fn evaluate_grant<C: Coordination + Sync>(
         epoch: grant.epoch,
     };
     let interval = Duration::from_millis((grant.lease_ms / 3).max(50));
+    // Transport hiccups and lost leases are both fine to ignore here: the
+    // completion is resolved by epoch.
+    let beat = || {
+        let _ = coordination.heartbeat(&heartbeat);
+    };
+    // Contain evaluation panics (e.g. an exceeded event budget deep in the
+    // engine) so they fail the run instead of the worker.
+    let result = with_heartbeat(interval, beat, || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            evaluate_points(ctx, &spec, &grant.points, options)
+        }))
+    });
+    result.unwrap_or_else(|panic| {
+        let message = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(QosrmError::Io(format!(
+            "shard evaluation panicked: {message}"
+        )))
+    })
+}
+
+/// Runs `body` while a side thread calls `beat` every `interval`, and
+/// returns `body`'s result as soon as it is done.
+///
+/// The side thread waits on a channel with `recv_timeout(interval)`: each
+/// timeout is a heartbeat, and the sender dropped when `body` returns —
+/// or unwinds — wakes and ends it at once, so the scope's join never waits
+/// out the rest of an interval.
+fn with_heartbeat<R>(interval: Duration, beat: impl Fn() + Sync, body: impl FnOnce() -> R) -> R {
+    let (stop, stopped) = mpsc::channel::<()>();
+    let beat = &beat;
     thread::scope(|scope| {
-        scope.spawn(|| {
-            let tick = Duration::from_millis(25);
-            let mut elapsed = Duration::ZERO;
-            while !stop.load(Ordering::Relaxed) {
-                thread::sleep(tick);
-                elapsed += tick;
-                if elapsed >= interval {
-                    elapsed = Duration::ZERO;
-                    // Transport hiccups and lost leases are both fine to
-                    // ignore here: the completion is resolved by epoch.
-                    let _ = coordination.heartbeat(&heartbeat);
-                }
+        scope.spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                beat();
             }
         });
-        // Contain evaluation panics (e.g. an exceeded event budget deep in
-        // the engine): an escaping unwind would skip the stop-flag store
-        // and leave the heartbeat thread spinning forever in the scope's
-        // implicit join, hanging the worker instead of failing the run.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            evaluate_points(ctx, &spec, &grant.points, options)
-        }));
-        stop.store(true, Ordering::Relaxed);
-        result.unwrap_or_else(|panic| {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(QosrmError::Io(format!(
-                "shard evaluation panicked: {message}"
-            )))
-        })
+        let _stop = stop;
+        body()
     })
 }
 
@@ -1089,5 +1098,45 @@ mod tests {
         let merged = stream::merge(&dir).unwrap();
         assert_eq!(merged.scenarios.len(), 3);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn heartbeat_fires_every_interval_while_the_body_runs() {
+        let beats = std::sync::atomic::AtomicUsize::new(0);
+        let interval = Duration::from_millis(20);
+        with_heartbeat(
+            interval,
+            || {
+                beats.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            },
+            || thread::sleep(interval * 7 / 2),
+        );
+        assert!(beats.into_inner() >= 3);
+    }
+
+    #[test]
+    fn heartbeat_stops_as_soon_as_the_body_returns() {
+        let start = std::time::Instant::now();
+        let value = with_heartbeat(Duration::from_secs(10), || {}, || 42);
+        assert_eq!(value, 42);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the helper waited out the interval: {:?}",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn heartbeat_stops_when_the_body_panics() {
+        let start = std::time::Instant::now();
+        let outcome = std::panic::catch_unwind(|| {
+            with_heartbeat(
+                Duration::from_secs(10),
+                || {},
+                || -> u8 { panic!("body failed") },
+            )
+        });
+        assert!(outcome.is_err());
+        assert!(start.elapsed() < Duration::from_secs(1));
     }
 }

@@ -41,7 +41,7 @@ pub mod stream;
 pub mod sweep;
 pub mod sync;
 
-pub use context::{ExperimentContext, RmaTelemetry};
+pub use context::{ExperimentContext, RecordCounters, RmaTelemetry};
 pub use dist::{Coordinator, CoordinatorConfig, CoordinatorServer, Resolution, WorkerConfig};
 pub use report::{ExperimentReport, ReportRow};
 pub use search::{

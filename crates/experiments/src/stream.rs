@@ -113,19 +113,6 @@ pub struct ShardRecord {
     pub curve_misses: u64,
 }
 
-impl ShardRecord {
-    /// Fraction of the shard's curve lookups answered from the shared
-    /// cache (0 when the shard did no lookups).
-    pub fn curve_hit_rate(&self) -> f64 {
-        let total = self.curve_hits + self.curve_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.curve_hits as f64 / total as f64
-        }
-    }
-}
-
 /// The durable lease state of one shard — who holds it, under which epoch,
 /// until when, and which grid points it covers.
 ///

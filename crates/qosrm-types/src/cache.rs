@@ -182,11 +182,6 @@ impl WayPartition {
         self.ways.iter().sum()
     }
 
-    /// Sets the way count of a core.
-    pub fn set_ways(&mut self, core: usize, ways: usize) {
-        self.ways[core] = ways;
-    }
-
     /// Validates the partition against an LLC geometry: every core gets at
     /// least one way and the counts sum to the associativity.
     pub fn validate(&self, llc: &LlcGeometry) -> Result<(), QosrmError> {

@@ -3,7 +3,7 @@
 
 use crate::http::{WireError, PROTO_VERSION, PROTO_VERSION_HEADER};
 use crate::server::{RunStatus, StatsReport};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -129,8 +129,9 @@ impl Client {
     }
 
     /// Streams outcome lines starting at `from`, feeding each complete
-    /// JSONL line to `sink`, until the daemon closes the tail (the run
-    /// reached a terminal state). Returns the number of lines received.
+    /// JSONL line to `sink` as soon as its bytes arrive, until the daemon
+    /// closes the tail (the run reached a terminal state). Returns the
+    /// number of lines received.
     pub fn stream(
         &self,
         run_id: &str,
@@ -140,22 +141,39 @@ impl Client {
         let path = format!("/runs/{run_id}/stream?from={from}");
         let mut stream = self.connect()?;
         self.write_request(&mut stream, "GET", &path, &[], b"")?;
-        let mut raw = Vec::new();
-        stream
-            .read_to_end(&mut raw)
-            .map_err(|e| ClientError::Transport(e.to_string()))?;
-        let (status, body) = split_response(&raw)?;
+        let transport = |e: std::io::Error| ClientError::Transport(e.to_string());
+        let mut reader = BufReader::new(stream);
+        let mut line = Vec::new();
+        if reader.read_until(b'\n', &mut line).map_err(transport)? == 0 {
+            return Err(no_separator());
+        }
+        let status = parse_status(&line)?;
+        // Skip the header lines up to the blank line that ends the head.
+        while line != b"\r\n" {
+            line.clear();
+            if reader.read_until(b'\n', &mut line).map_err(transport)? == 0 {
+                return Err(no_separator());
+            }
+        }
         if status != 200 {
+            let mut body = Vec::new();
+            reader.read_to_end(&mut body).map_err(transport)?;
             return Err(self.rejection(status, &body));
         }
-        let text = String::from_utf8_lossy(&body);
+        // `read_until` returns as soon as a newline arrives, so each line
+        // reaches the sink while the daemon is still streaming.
         let mut count = 0;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
+        loop {
+            line.clear();
+            if reader.read_until(b'\n', &mut line).map_err(transport)? == 0 {
+                break;
             }
-            sink(line);
-            count += 1;
+            let text = String::from_utf8_lossy(&line);
+            let text = text.trim_end_matches(['\n', '\r']);
+            if !text.trim().is_empty() {
+                sink(text);
+                count += 1;
+            }
         }
         Ok(count)
     }
@@ -246,18 +264,92 @@ impl Client {
     }
 }
 
-/// Splits raw response bytes into (status, body).
-fn split_response(raw: &[u8]) -> Result<(u16, Vec<u8>), ClientError> {
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| ClientError::Protocol("response has no head/body separator".to_string()))?;
-    let head = String::from_utf8_lossy(&raw[..head_end]);
+fn no_separator() -> ClientError {
+    ClientError::Protocol("response has no head/body separator".to_string())
+}
+
+/// The status code of a response head (its first line).
+fn parse_status(head: &[u8]) -> Result<u16, ClientError> {
+    let head = String::from_utf8_lossy(head);
     let status_line = head.lines().next().unwrap_or("");
-    let status = status_line
+    status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| ClientError::Protocol(format!("bad status line {status_line:?}")))?;
-    Ok((status, raw[head_end + 4..].to_vec()))
+        .ok_or_else(|| ClientError::Protocol(format!("bad status line {status_line:?}")))
+}
+
+/// Splits raw response bytes into (status, body).
+fn split_response(raw: &[u8]) -> Result<(u16, Vec<u8>), ClientError> {
+    let end = raw
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .ok_or_else(no_separator)?;
+    Ok((parse_status(&raw[..end])?, raw[end + 4..].to_vec()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    #[test]
+    fn stream_feeds_each_line_as_it_arrives() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (first_seen, seen) = mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().unwrap();
+            let mut request = Vec::new();
+            socket.read_to_end(&mut request).unwrap();
+            socket
+                .write_all(b"HTTP/1.0 200 OK\r\ncontent-type: application/x-ndjson\r\n\r\n")
+                .unwrap();
+            socket.write_all(b"{\"line\":1}\n").unwrap();
+            socket.flush().unwrap();
+            // The rest is held back until the client has handed the first
+            // line to its sink; a buffering client never gets there.
+            let incremental = seen.recv_timeout(Duration::from_secs(10)).is_ok();
+            socket.write_all(b"{\"line\":2}\r\n\n{\"line\":3}").unwrap();
+            incremental
+        });
+        let mut lines = Vec::new();
+        let count = Client::new(addr)
+            .with_timeout(Duration::from_secs(30))
+            .stream("r", 0, |line| {
+                if lines.is_empty() {
+                    first_seen.send(()).unwrap();
+                }
+                lines.push(line.to_string());
+            })
+            .unwrap();
+        assert!(
+            server.join().unwrap(),
+            "the first line reached the sink only after the whole body"
+        );
+        assert_eq!(count, 3);
+        assert_eq!(lines, ["{\"line\":1}", "{\"line\":2}", "{\"line\":3}"]);
+    }
+
+    #[test]
+    fn stream_rejection_carries_the_wire_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut socket, _) = listener.accept().unwrap();
+            let mut request = Vec::new();
+            socket.read_to_end(&mut request).unwrap();
+            let body = serde_json::to_string(&WireError::new("RunNotFound", "no run r")).unwrap();
+            socket
+                .write_all(format!("HTTP/1.0 404 Not Found\r\n\r\n{body}").as_bytes())
+                .unwrap();
+        });
+        let error = Client::new(addr).stream("r", 0, |_| {}).unwrap_err();
+        server.join().unwrap();
+        assert!(matches!(
+            error,
+            ClientError::Rejected { status: 404, ref kind, .. } if kind == "RunNotFound"
+        ));
+    }
 }

@@ -119,7 +119,8 @@ pub struct LoadReport {
     pub transport_retries: u64,
     /// Outcome lines received over `/stream` across all threads.
     pub outcomes_streamed: u64,
-    /// Distinct runs the plan mapped to.
+    /// Distinct runs the submissions mapped to (the variants the clients
+    /// actually submit, which can be fewer than the plan holds).
     pub distinct_runs: usize,
     /// Distinct runs that reached `complete`.
     pub runs_completed: usize,
@@ -136,6 +137,25 @@ impl LoadReport {
     pub fn passed(&self) -> bool {
         self.errors.is_empty() && self.byte_identical && self.runs_completed == self.distinct_runs
     }
+}
+
+/// The plan variant client `thread_no` submits as its `submission`-th
+/// request: the clients start at staggered variants and cycle the plan.
+fn variant_of(thread_no: usize, submission: usize, variants: usize) -> usize {
+    (thread_no + submission) % variants
+}
+
+/// Distinct runs a load run submits: the distinct run ids of the variants
+/// its clients actually cycle through.
+fn submitted_runs(plan: &LoadPlan, config: &LoadConfig) -> usize {
+    let mut ids = std::collections::BTreeSet::new();
+    for thread_no in 0..config.clients.max(1) {
+        for submission in 0..config.per_client {
+            let variant = variant_of(thread_no, submission, plan.specs.len());
+            ids.insert(crate::server::run_id(&plan.specs[variant], config.quick));
+        }
+    }
+    ids.len()
 }
 
 struct LoadShared {
@@ -162,7 +182,7 @@ pub fn execute(
             queue_full_rejections: 0,
             transport_retries: 0,
             outcomes_streamed: 0,
-            distinct_runs: plan.specs.len(),
+            distinct_runs: submitted_runs(plan, config),
             runs_completed: 0,
             byte_identical: true,
             errors: Vec::new(),
@@ -213,7 +233,7 @@ fn client_thread(
     let mut my_runs: Vec<String> = Vec::new();
 
     for submission in 0..config.per_client {
-        let variant = (thread_no + submission) % plan.payloads.len();
+        let variant = variant_of(thread_no, submission, plan.payloads.len());
         let payload = &plan.payloads[variant];
         bump(shared, |r| r.submissions += 1);
         let mut attempts = 0u32;
@@ -429,5 +449,43 @@ mod tests {
         );
         assert_ne!(a.payloads[1], b.payloads[1]);
         assert_ne!(a.payloads[2], b.payloads[2]);
+    }
+
+    #[test]
+    fn distinct_runs_counts_only_the_submitted_variants() {
+        // 2 clients x 20 submissions cycle variants 0..=20 of 40: a load
+        // run that completes all 21 must pass.
+        let config = LoadConfig {
+            clients: 2,
+            per_client: 20,
+            distinct: 40,
+            ..Default::default()
+        };
+        let variants = plan(&base_spec(), &config).unwrap();
+        assert_eq!(variants.specs.len(), 40);
+        assert_eq!(submitted_runs(&variants, &config), 21);
+        let report = LoadReport {
+            clients: 2,
+            submissions: 40,
+            admitted: 21,
+            deduplicated: 19,
+            queue_full_rejections: 0,
+            transport_retries: 0,
+            outcomes_streamed: 0,
+            distinct_runs: submitted_runs(&variants, &config),
+            runs_completed: 21,
+            byte_identical: true,
+            errors: Vec::new(),
+        };
+        assert!(report.passed());
+        // Every variant is submitted once the clients cover the plan.
+        let covering = LoadConfig {
+            clients: 6,
+            per_client: 4,
+            distinct: 8,
+            ..Default::default()
+        };
+        let variants = plan(&base_spec(), &covering).unwrap();
+        assert_eq!(submitted_runs(&variants, &covering), 8);
     }
 }

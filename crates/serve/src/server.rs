@@ -33,8 +33,8 @@ use crate::http::{
 use crate::state::{RegistryInner, RunMeta, RunState, RunTallies, ServeCounters, RUN_META_FILE};
 use experiments::dist::{self, Coordinator, CoordinatorConfig};
 use experiments::{
-    ExperimentContext, LeaseCounters, LockUnpoisoned, ScenarioSpec, SweepManifest, SweepOptions,
-    WaitUnpoisoned,
+    ExperimentContext, LeaseCounters, LockUnpoisoned, RecordCounters, ScenarioSpec, SweepManifest,
+    SweepOptions, WaitUnpoisoned,
 };
 use qosrm_core::RmaWorkCounters;
 use qosrm_proto::{CompleteRequest, LeaseTelemetry};
@@ -160,6 +160,20 @@ pub struct RmaStats {
     pub counters: RmaWorkCounters,
 }
 
+/// Benchmark-record memo counters of one database mode, as reported on
+/// `/stats`: every benchmark is characterized at most once per platform
+/// and mode, and later databases reuse the memoized record.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SimDbStats {
+    /// Database mode the context serves (`quick` or `full`).
+    pub mode: String,
+    /// Records characterized (or loaded from the on-disk cache) since
+    /// daemon start: one per distinct (platform, benchmark) pair.
+    pub records_built: u64,
+    /// Record requests answered from the memo since daemon start.
+    pub records_reused: u64,
+}
+
 /// Counter snapshot within the `/stats` payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
@@ -207,6 +221,8 @@ pub struct StatsReport {
     /// Measured RMA work per active database mode (delta-path and
     /// chunked-kernel counters included).
     pub rma: Vec<RmaStats>,
+    /// Benchmark-record memo counters per active database mode.
+    pub simdb: Vec<SimDbStats>,
     /// Lease-protocol telemetry across all coordinated runs (grants,
     /// renewals, expiries, reinjections, stale rejections, per-worker
     /// completions) — process-lifetime, like the other counters.
@@ -940,7 +956,7 @@ fn handle_stats(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result
         runs_failed: ServeCounters::read(&c.runs_failed),
         outcomes_streamed: ServeCounters::read(&c.outcomes_streamed),
     };
-    let (curve_cache, rma) = {
+    let (curve_cache, rma, simdb) = {
         let contexts = shared.contexts.lock_unpoisoned();
         let mut stats: Vec<CacheStats> = contexts
             .iter()
@@ -966,7 +982,24 @@ fn handle_stats(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result
             })
             .collect();
         rma.sort_by(|a, b| a.mode.cmp(&b.mode));
-        (stats, rma)
+        let mut simdb: Vec<SimDbStats> = contexts
+            .iter()
+            .map(|(quick, ctx)| {
+                // Exhaustive destructuring: a new memo counter fails
+                // compilation here until `/stats` reports it.
+                let RecordCounters {
+                    records_built,
+                    records_reused,
+                } = ctx.record_counters();
+                SimDbStats {
+                    mode: if *quick { "quick" } else { "full" }.to_string(),
+                    records_built,
+                    records_reused,
+                }
+            })
+            .collect();
+        simdb.sort_by(|a, b| a.mode.cmp(&b.mode));
+        (stats, rma, simdb)
     };
     let report = StatsReport {
         schema: STATS_SCHEMA.to_string(),
@@ -977,6 +1010,7 @@ fn handle_stats(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result
         counters,
         curve_cache,
         rma,
+        simdb,
         leases: shared.lease_counters.snapshot(),
     };
     let body = serde_json::to_string(&report).unwrap_or_else(|_| "{}".to_string());

@@ -41,7 +41,13 @@ impl BuildOptions {
 }
 
 /// Characterizes one benchmark into a database record.
-fn build_record(
+///
+/// A pure function of its inputs: the same profile, characterizer,
+/// platform and thresholds always give the same record, whatever other
+/// benchmarks share the database. That is what lets a caller characterize
+/// each benchmark once and assemble any number of databases from the
+/// cached records (see `experiments::ExperimentContext::database`).
+pub fn build_record(
     profile: &BenchmarkProfile,
     characterizer: &PhaseCharacterizer,
     platform: &PlatformConfig,

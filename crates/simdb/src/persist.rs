@@ -1,11 +1,11 @@
 //! Persistence of the simulation-results database.
 //!
 //! The database build is the expensive step of the pipeline, so experiments
-//! can cache it on disk as JSON and reload it instead of re-characterizing
-//! the suite (the paper reuses its Sniper results database across all RMA
-//! experiments in the same way).
+//! can cache each benchmark's record on disk as JSON and reload it instead
+//! of re-characterizing the benchmark (the paper reuses its Sniper results
+//! database across all RMA experiments in the same way).
 
-use crate::record::SimDb;
+use crate::record::{BenchmarkRecord, SimDb};
 use qosrm_types::QosrmError;
 use serde::{Deserialize, Serialize};
 use std::fs;
@@ -141,18 +141,25 @@ pub fn load(path: &Path) -> Result<SimDb, QosrmError> {
     Ok(db)
 }
 
-/// Loads a cached database if `path` exists, otherwise builds it with
-/// `build` and saves the result.
-pub fn load_or_build(path: &Path, build: impl FnOnce() -> SimDb) -> Result<SimDb, QosrmError> {
-    if path.exists() {
-        if let Ok(db) = load(path) {
-            return Ok(db);
+/// Loads the cached record of benchmark `name` from `path`, or — when the
+/// file is missing, unreadable, invalid or names another benchmark —
+/// builds it with `build` and saves it there.
+///
+/// The cache is an optimization only: a failed save still returns the
+/// freshly built record.
+pub fn load_or_build_record(
+    path: &Path,
+    name: &str,
+    build: impl FnOnce() -> BenchmarkRecord,
+) -> BenchmarkRecord {
+    if let Ok(record) = load_json::<BenchmarkRecord>(path) {
+        if record.name == name && record.validate().is_ok() {
+            return record;
         }
-        // A corrupt or stale cache falls through to a rebuild.
     }
-    let db = build();
-    save(&db, path)?;
-    Ok(db)
+    let record = build();
+    let _ = save_json(&record, path);
+    record
 }
 
 #[cfg(test)]
@@ -185,26 +192,34 @@ mod tests {
         assert!(load(path).is_err());
     }
 
+    fn tiny_record() -> BenchmarkRecord {
+        tiny_db().benchmark("gamess_like").unwrap().clone()
+    }
+
     #[test]
-    fn load_or_build_builds_once_then_caches() {
-        let dir = std::env::temp_dir().join("qosrm_simdb_test");
+    fn record_cache_builds_once_then_loads() {
+        let dir = std::env::temp_dir().join("qosrm_simdb_record_test");
         let path = dir.join("cache.json");
         fs::remove_file(&path).ok();
         let mut builds = 0;
-        let db1 = load_or_build(&path, || {
+        let a = load_or_build_record(&path, "gamess_like", || {
             builds += 1;
-            tiny_db()
-        })
-        .unwrap();
+            tiny_record()
+        });
         assert_eq!(builds, 1);
-        let db2 = load_or_build(&path, || {
+        let b = load_or_build_record(&path, "gamess_like", || {
             builds += 1;
-            tiny_db()
-        })
-        .unwrap();
-        assert_eq!(builds, 1, "second call must hit the cache");
-        assert_eq!(db1, db2);
-        fs::remove_file(&path).ok();
+            tiny_record()
+        });
+        assert_eq!(builds, 1, "second call must load the saved record");
+        assert_eq!(a, b);
+        // A file holding another benchmark's record is not a hit.
+        load_or_build_record(&path, "povray_like", || {
+            builds += 1;
+            tiny_record()
+        });
+        assert_eq!(builds, 2);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -246,13 +261,14 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_cache_is_rebuilt() {
-        let dir = std::env::temp_dir().join("qosrm_simdb_test");
+    fn corrupt_record_cache_is_rebuilt() {
+        let dir = std::env::temp_dir().join("qosrm_simdb_corrupt_test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("corrupt.json");
         fs::write(&path, "this is not json").unwrap();
-        let db = load_or_build(&path, tiny_db).unwrap();
-        assert_eq!(db.len(), 1);
-        fs::remove_file(&path).ok();
+        let record = load_or_build_record(&path, "gamess_like", tiny_record);
+        assert_eq!(record, tiny_record());
+        assert_eq!(load_json::<BenchmarkRecord>(&path).unwrap(), record);
+        fs::remove_dir_all(&dir).ok();
     }
 }
