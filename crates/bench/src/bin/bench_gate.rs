@@ -1,6 +1,7 @@
-//! The CI performance-regression gate: runs the fixed simulator-loop and
-//! global-optimizer workloads, writes `BENCH_*.json` reports and fails when
-//! wall time regresses beyond the tolerance. See [`qosrm_bench::gate`].
+//! The CI performance-regression gate: runs every scenario of the gate's
+//! table, writes one `BENCH_<bench>.json` report per scenario and fails when
+//! a banded wall regresses beyond its band, a counter drifts or a floor
+//! breaks. See [`qosrm_bench::gate`].
 
 use std::process::ExitCode;
 

@@ -1,8 +1,18 @@
 //! # qosrm-bench
 //!
-//! Shared fixtures for the criterion benchmark harness.
+//! The CI performance-regression gate ([`gate`]) and shared fixtures for the
+//! criterion benchmark harness.
 //!
-//! The benches are organised by what they regenerate:
+//! The gate is one scenario table, [`gate::SCENARIOS`]: each row names a
+//! fixed workload's runner and its whole policy — which walls are banded
+//! and at what multiple of the tolerance, which counters (all of them,
+//! exact-compared) and which same-report floors. Every scenario writes the
+//! same [`gate::Report`] shape (`BENCH_<bench>.json`, schema
+//! `qosrm-bench-gate/v2`: name-keyed `walls` and `counters` maps), and one
+//! comparator, [`gate::compare`], checks any of them against its committed
+//! baseline.
+//!
+//! The criterion benches are organised by what they regenerate:
 //!
 //! * `rma_overhead` — the cost of one resource-manager invocation
 //!   (paper experiments E5 and E9: the "overhead" tables);
