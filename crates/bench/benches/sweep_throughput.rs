@@ -1,12 +1,12 @@
 //! Throughput of the scenario-sweep engine (serial vs. parallel vs.
-//! parallel + memoized).
+//! parallel + memoized vs. the default, which adds the delta path).
 //!
 //! The sweep engine is the scale axis of this repository: every new QoS
 //! target, workload mix, platform shape or RMA variant multiplies the
 //! scenario count, so the per-scenario cost — dominated by the energy-curve
 //! constructions inside each RMA invocation — is what bounds how much of the
-//! scenario space we can explore. This bench tracks the three execution
-//! modes of `experiments::sweep` on one fixed grid:
+//! scenario space we can explore. This bench tracks four execution modes
+//! of `experiments::sweep` on one fixed grid:
 //!
 //! * `serial` — the reference path (what the bespoke per-experiment loops
 //!   used to do);
@@ -15,7 +15,9 @@
 //! * `parallel_memoized` — plus the shared energy-curve cache, which
 //!   answers recurring `(configuration, QoS, observation)` curve requests
 //!   across scenarios and across the phase-trace wrap-around inside each
-//!   run (the dominant win; it does not depend on core count).
+//!   run (the dominant win; it does not depend on core count);
+//! * `default` — plus the incremental delta path, which keeps unchanged
+//!   cores' curves and reuses their reduction rows between invocations.
 //!
 //! The simulation database is pre-built outside the measured region (every
 //! mode would pay the identical, context-cached cost).
@@ -70,6 +72,7 @@ fn bench_sweep_modes(c: &mut Criterion) {
                 incremental: false,
             },
         ),
+        ("default", SweepOptions::default()),
     ] {
         let ctx = ExperimentContext::new(true).with_sweep_options(options);
         let grid = bench_grid(&ctx);
@@ -91,8 +94,7 @@ fn bench_sweep_modes(c: &mut Criterion) {
     // The streaming sharded executor on the same grid (via a spec with the
     // grid's mixes inlined): measures the checkpointing overhead — shard
     // JSONL logs, manifest rewrites, per-shard simulator/baseline
-    // reconstruction — on top of `parallel_memoized`, which is the mode it
-    // shares. This is the executor CI's sweep-smoke step and the
+    // reconstruction — on top of `default`, which is the mode it shares. This is the executor CI's sweep-smoke step and the
     // kill/resume workflow run.
     {
         let ctx = ExperimentContext::new(true);

@@ -23,9 +23,10 @@
 //! * `experiments_tables` — one end-to-end co-phase simulation per paper
 //!   table/figure family (E1/E2/E3/E7/E8), so regressions in the full
 //!   pipeline show up as bench regressions;
-//! * `sweep_throughput` — the scenario-sweep engine in its three execution
-//!   modes (serial / parallel / parallel + memoized energy curves), tracking
-//!   the speedup that makes large scenario spaces affordable.
+//! * `sweep_throughput` — the scenario-sweep engine in four execution modes
+//!   (serial / parallel / parallel + memoized energy curves / the default,
+//!   which adds the incremental delta path), tracking the speedup that
+//!   makes large scenario spaces affordable.
 
 #![warn(missing_docs)]
 

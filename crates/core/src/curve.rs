@@ -35,8 +35,9 @@ pub struct CurvePoint {
 ///
 /// `points[w - 1]` holds the cheapest feasible configuration with `w` ways,
 /// or `None` when no `(core size, VF)` pair meets the QoS target at that
-/// allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// allocation. The default curve is empty and therefore has no feasible
+/// point.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EnergyCurve {
     points: Vec<Option<CurvePoint>>,
 }

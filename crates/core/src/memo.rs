@@ -36,7 +36,7 @@ use qosrm_types::{CoreObservation, QosSpec};
 use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A 128-bit cache key (two independent 64-bit digests).
 pub type CurveKey = (u64, u64);
@@ -306,10 +306,16 @@ const NUM_SHARDS: usize = 16;
 /// eviction) — cheap, and only a perf event, never a correctness one.
 pub const DEFAULT_MAX_ENTRIES: usize = 131_072;
 
+/// One cache slot: a once-cell, so concurrent misses of the same key build
+/// the curve once and the other callers wait for it.
+type CurveCell = Arc<OnceLock<EnergyCurve>>;
+
 /// Thread-safe, sharded memoization cache for [`EnergyCurve`]s.
 ///
 /// Shared (via `Arc`) between every manager instance of a scenario sweep;
-/// see [`crate::CoordinatedRma::with_curve_cache`].
+/// see [`crate::CoordinatedRma::with_curve_cache`]. Lookups are
+/// single-flight: each key holds its own once-cell, so two threads that
+/// miss the same key build its curve once.
 ///
 /// # Example
 ///
@@ -321,7 +327,7 @@ pub const DEFAULT_MAX_ENTRIES: usize = 131_072;
 /// assert_eq!(cache.hit_rate(), 0.0);
 /// ```
 pub struct CurveCache {
-    shards: Vec<Mutex<HashMap<CurveKey, EnergyCurve>>>,
+    shards: Vec<Mutex<HashMap<CurveKey, CurveCell>>>,
     max_entries_per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -352,40 +358,40 @@ impl CurveCache {
         }
     }
 
-    fn shard(&self, key: CurveKey) -> &Mutex<HashMap<CurveKey, EnergyCurve>> {
+    fn shard(&self, key: CurveKey) -> &Mutex<HashMap<CurveKey, CurveCell>> {
         &self.shards[(key.0 % NUM_SHARDS as u64) as usize]
     }
 
     /// Returns the cached curve for `key`, or computes, stores and returns
     /// it. The computation runs outside the shard lock, so concurrent
-    /// lookups of *different* keys never serialize on one computation
-    /// (a rare duplicated computation of the same key is deterministic and
-    /// therefore harmless).
+    /// lookups of *different* keys never serialize on one computation;
+    /// concurrent lookups of the *same* key wait on its once-cell, so the
+    /// curve is computed once and counted as one miss.
     pub fn get_or_compute(
         &self,
         key: CurveKey,
         compute: impl FnOnce() -> EnergyCurve,
     ) -> EnergyCurve {
-        if let Some(curve) = self
-            .shard(key)
-            .lock()
-            .expect("curve shard poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return curve.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let curve = compute();
-        let mut shard = self.shard(key).lock().expect("curve shard poisoned");
-        if shard.len() >= self.max_entries_per_shard {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.evicted_entries
-                .fetch_add(shard.len() as u64, Ordering::Relaxed);
-            shard.clear();
-        }
-        shard.insert(key, curve.clone());
-        curve
+        let cell = {
+            let mut shard = self.shard(key).lock().expect("curve shard poisoned");
+            if !shard.contains_key(&key) && shard.len() >= self.max_entries_per_shard {
+                // Callers already holding an evicted cell still finish
+                // with it; only later lookups start a fresh one.
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evicted_entries
+                    .fetch_add(shard.len() as u64, Ordering::Relaxed);
+                shard.clear();
+            }
+            Arc::clone(shard.entry(key).or_default())
+        };
+        let mut computed = false;
+        let curve = cell.get_or_init(|| {
+            computed = true;
+            compute()
+        });
+        let counter = if computed { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        curve.clone()
     }
 
     /// Number of cached curves.
@@ -605,8 +611,38 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_misses_build_each_curve_once() {
+        let cache = CurveCache::new();
+        let builds = AtomicU64::new(0);
+        let entered = AtomicU64::new(0);
+        let curves: Vec<EnergyCurve> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        entered.fetch_add(1, Ordering::SeqCst);
+                        cache.get_or_compute((7, 7), || {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            // Hold the build open until every thread has
+                            // started its lookup of the same key.
+                            while entered.load(Ordering::SeqCst) < 4 {
+                                std::thread::yield_now();
+                            }
+                            curve(7.0)
+                        })
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert!(curves.iter().all(|c| *c == curve(7.0)));
+        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.hits(), 3);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
     fn shared_across_threads() {
-        use std::sync::Arc;
         let cache = Arc::new(CurveCache::new());
         std::thread::scope(|scope| {
             for t in 0..4u64 {

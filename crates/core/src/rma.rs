@@ -226,7 +226,10 @@ pub struct CoordinatedRma {
     config: RmaConfig,
     optimizer: LocalOptimizer,
     overhead: OverheadModel,
-    curves: Vec<Option<EnergyCurve>>,
+    /// The latest curve of every core, borrowed in place by the global
+    /// step. A curve with no feasible point (including the empty default)
+    /// marks a core that has not reported yet or whose QoS is at risk.
+    curves: Vec<EnergyCurve>,
     name: String,
     /// Optional shared memoization cache for energy curves; see
     /// [`CoordinatedRma::with_curve_cache`].
@@ -271,7 +274,7 @@ impl CoordinatedRma {
         ));
         CoordinatedRma {
             platform: platform.clone(),
-            curves: vec![None; platform.num_cores],
+            curves: vec![EnergyCurve::default(); platform.num_cores],
             optimizer,
             overhead: OverheadModel::default(),
             config,
@@ -481,7 +484,7 @@ impl ResourceManager for CoordinatedRma {
     }
 
     fn reset(&mut self, num_cores: usize) {
-        self.curves = vec![None; num_cores];
+        self.curves = vec![EnergyCurve::default(); num_cores];
         self.counters = RmaWorkCounters::default();
         self.clear_delta_state(num_cores);
     }
@@ -493,7 +496,7 @@ impl ResourceManager for CoordinatedRma {
         current: &SystemSetting,
     ) -> SystemSetting {
         if self.curves.len() != current.num_cores() {
-            self.curves = vec![None; current.num_cores()];
+            self.curves = vec![EnergyCurve::default(); current.num_cores()];
             self.clear_delta_state(current.num_cores());
         }
 
@@ -513,10 +516,9 @@ impl ResourceManager for CoordinatedRma {
             && self
                 .digests
                 .note(core.index(), key.expect("keyed when incremental"))
-            && self.curves[core.index()].is_some();
-        let curve = if reuse {
+            && self.curves[core.index()].any_feasible();
+        if reuse {
             self.counters.delta_invocations += 1;
-            self.curves[core.index()].clone().expect("checked above")
         } else {
             if self.config.incremental {
                 self.counters.curves_patched += 1;
@@ -530,28 +532,28 @@ impl ResourceManager for CoordinatedRma {
                 counters.local_evaluations += build.evaluations as u64;
                 build.curve
             };
-            match &self.curve_cache {
+            self.curves[core.index()] = match &self.curve_cache {
                 Some(cache) => cache.get_or_compute(key.expect("keyed when cached"), build_counted),
                 None => build_counted(),
-            }
-        };
+            };
+        }
+        let curve = &self.curves[core.index()];
         if !curve.any_feasible() {
             // Defensive: even the baseline allocation appears infeasible
             // (can only happen through extreme modeling error); keep the
             // current setting for this interval and record that its QoS
-            // cannot be certified.
+            // cannot be certified. The infeasible curve left in the slot
+            // reads as "not reported" below and is rebuilt next interval.
             self.counters.qos_at_risk_intervals += 1;
-            self.curves[core.index()] = None;
             return current.clone();
         }
-        self.curves[core.index()] = Some(curve);
 
         if !self.config.control_partitioning {
             // No coordination over the cache: apply this core's best setting
             // at its current allocation and leave the others untouched.
             let ways = current.core(core).ways;
             let mut next = current.clone();
-            if let Some(point) = self.curves[core.index()].as_ref().unwrap().point(ways) {
+            if let Some(point) = curve.point(ways) {
                 *next.core_mut(core) = CoreSetting {
                     core_size: point.core_size,
                     freq: point.freq,
@@ -569,7 +571,7 @@ impl ResourceManager for CoordinatedRma {
 
         // The paper's first-invocation rule: until every core has reported
         // one interval of statistics, keep the baseline setting.
-        if self.curves.iter().any(Option::is_none) {
+        if !self.curves.iter().all(EnergyCurve::any_feasible) {
             return current.clone();
         }
 
@@ -578,11 +580,7 @@ impl ResourceManager for CoordinatedRma {
         // solver whose slack-allowed outcome is topped up to an exact-sum
         // allocation. Both paths feed the same hysteresis and validation
         // below.
-        let curves: Vec<EnergyCurve> = self
-            .curves
-            .iter()
-            .map(|c| c.clone().expect("checked above"))
-            .collect();
+        let curves = &self.curves;
         let total_ways = self.platform.llc.associativity;
         let allocation = match self.config.partition_algo {
             PartitionAlgo::Cooperative if self.config.incremental => {
@@ -593,11 +591,11 @@ impl ResourceManager for CoordinatedRma {
                 // f64 upper bound — prunes the root row. The allocation is
                 // bit-identical to the cold path.
                 let incumbent = match &self.last_ways {
-                    Some(ways) => incumbent_energy(&curves, ways),
+                    Some(ways) => incumbent_energy(curves, ways),
                     None => f64::INFINITY,
                 };
                 let (allocation, prune_stats, warm) = self.incremental_opt.optimize(
-                    &curves,
+                    curves,
                     &self.pending_dirty,
                     total_ways,
                     incumbent,
@@ -611,19 +609,19 @@ impl ResourceManager for CoordinatedRma {
                 allocation
             }
             PartitionAlgo::Cooperative => {
-                let (allocation, prune_stats) = optimize_partition_with_stats(&curves, total_ways);
+                let (allocation, prune_stats) = optimize_partition_with_stats(curves, total_ways);
                 self.counters.add_reduction(prune_stats);
                 allocation
             }
             PartitionAlgo::NashBestResponse => {
                 let (outcome, stats) =
-                    game::best_response(&curves, total_ways, &GameConfig::default());
+                    game::best_response(curves, total_ways, &GameConfig::default());
                 self.counters.game_rounds += stats.rounds;
                 self.counters.best_response_evaluations += stats.evaluations;
                 outcome.map(|o| o.exact_sum_allocation(total_ways))
             }
             PartitionAlgo::NashMinEnergyEquilibrium => {
-                let (outcome, stats) = game::min_energy_equilibrium(&curves, total_ways);
+                let (outcome, stats) = game::min_energy_equilibrium(curves, total_ways);
                 self.counters.add_reduction(stats.reduction);
                 self.counters.equilibria_examined += stats.equilibria_examined;
                 // An uncertified candidate is handled like an infeasible

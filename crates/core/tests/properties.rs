@@ -327,29 +327,45 @@ proptest! {
     /// The manager's incremental delta path emits bit-identical settings to
     /// the cold manager across random sequences of per-core observation
     /// deltas: every round re-invokes all cores, but only the cores whose
-    /// observation actually changed may rebuild their curve.
+    /// observation actually changed may rebuild their curve. Covers RM2,
+    /// RM3 and both game-theoretic global steps on 4 and 8 cores, with a
+    /// mid-run `reset` and a round at a narrower core count, all of which
+    /// reuse or clear the manager's retained per-core curves.
     #[test]
     fn delta_path_manager_matches_cold_rebuild(
-        bases in prop::collection::vec(10_000u64..2_000_000, 4),
-        decays in prop::collection::vec(0u64..20, 4),
-        deltas in prop::collection::vec((0usize..4, 10_000u64..2_000_000), 1..5),
+        manager in 0usize..4,
+        wide in 0usize..2,
+        bases in prop::collection::vec(10_000u64..2_000_000, 8),
+        decays in prop::collection::vec(0u64..20, 8),
+        deltas in prop::collection::vec((0usize..8, 10_000u64..2_000_000), 1..5),
+        reset_before in 0usize..6,
+        narrow_before in 0usize..6,
     ) {
-        let platform = PlatformConfig::paper2(4);
-        let mut cold = CoordinatedRma::paper1(&platform, vec![QosSpec::STRICT; 4]);
-        let mut delta = CoordinatedRma::paper1(&platform, vec![QosSpec::STRICT; 4])
-            .with_incremental();
-        cold.reset(4);
-        delta.reset(4);
-        let mut observations: Vec<CoreObservation> = (0..4)
+        let cores = if wide == 1 { 8 } else { 4 };
+        let platform = PlatformConfig::paper2(cores);
+        let build = || {
+            let qos = vec![QosSpec::STRICT; cores];
+            match manager {
+                0 => CoordinatedRma::paper1(&platform, qos),
+                1 => CoordinatedRma::paper2(&platform, qos),
+                2 => CoordinatedRma::nash_best_response(&platform, qos),
+                _ => CoordinatedRma::nash_equilibrium(&platform, qos),
+            }
+        };
+        let mut cold = build();
+        let mut delta = build().with_incremental();
+        cold.reset(cores);
+        delta.reset(cores);
+        let mut observations: Vec<CoreObservation> = (0..cores)
             .map(|i| observation_on(&platform, bases[i], decays[i], 5 + i as u64, true))
             .collect();
         let mut cold_setting = SystemSetting::baseline(&platform);
         let mut delta_setting = SystemSetting::baseline(&platform);
-        let round_all = |cold: &mut CoordinatedRma,
-                             delta: &mut CoordinatedRma,
-                             observations: &[CoreObservation],
-                             cold_setting: &mut SystemSetting,
-                             delta_setting: &mut SystemSetting|
+        let round = |cold: &mut CoordinatedRma,
+                     delta: &mut CoordinatedRma,
+                     observations: &[CoreObservation],
+                     cold_setting: &mut SystemSetting,
+                     delta_setting: &mut SystemSetting|
          -> Result<(), String> {
             for (i, obs) in observations.iter().enumerate() {
                 *cold_setting = cold.on_interval(CoreId(i), obs, cold_setting);
@@ -359,21 +375,50 @@ proptest! {
             }
             Ok(())
         };
-        round_all(&mut cold, &mut delta, &observations,
+        round(&mut cold, &mut delta, &observations,
             &mut cold_setting, &mut delta_setting)?;
-        for (core, new_base) in deltas {
+        for (step, (core, new_base)) in deltas.into_iter().enumerate() {
+            if step == reset_before {
+                cold.reset(cores);
+                delta.reset(cores);
+                cold_setting = SystemSetting::baseline(&platform);
+                delta_setting = SystemSetting::baseline(&platform);
+            }
+            if step == narrow_before {
+                // A two-core round resizes the retained curves; the next
+                // full-width round resizes them back and starts cold.
+                let narrow = SystemSetting::baseline(&PlatformConfig::paper2(2));
+                let (mut cold_narrow, mut delta_narrow) = (narrow.clone(), narrow);
+                round(&mut cold, &mut delta, &observations[..2],
+                    &mut cold_narrow, &mut delta_narrow)?;
+                cold_setting = SystemSetting::baseline(&platform);
+                delta_setting = SystemSetting::baseline(&platform);
+            }
+            let core = core % cores;
             observations[core] =
                 observation_on(&platform, new_base, decays[core], 5 + core as u64, true);
-            round_all(&mut cold, &mut delta, &observations,
+            round(&mut cold, &mut delta, &observations,
                 &mut cold_setting, &mut delta_setting)?;
         }
-        // The delta path never builds more curves than the cold manager and
-        // reuses at least the unchanged cores of the patch rounds.
+        // One unchanged round: every core of the delta manager reuses its
+        // curve.
+        round(&mut cold, &mut delta, &observations,
+            &mut cold_setting, &mut delta_setting)?;
+        // The delta path never builds more curves than the cold manager,
+        // reuses at least the unchanged cores, and leaves the game solvers'
+        // work untouched.
         let cold_counters = cold.work_counters();
         let delta_counters = delta.work_counters();
         prop_assert_eq!(cold_counters.invocations, delta_counters.invocations);
         prop_assert!(delta_counters.curve_builds <= cold_counters.curve_builds);
-        prop_assert!(delta_counters.delta_invocations > 0);
+        prop_assert!(delta_counters.delta_invocations >= cores as u64);
+        prop_assert_eq!(cold_counters.qos_at_risk_intervals, delta_counters.qos_at_risk_intervals);
+        prop_assert_eq!(cold_counters.game_rounds, delta_counters.game_rounds);
+        prop_assert_eq!(
+            cold_counters.best_response_evaluations,
+            delta_counters.best_response_evaluations
+        );
+        prop_assert_eq!(cold_counters.equilibria_examined, delta_counters.equilibria_examined);
     }
 }
 

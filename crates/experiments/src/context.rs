@@ -104,7 +104,8 @@ pub struct ExperimentContext {
     pub quick: bool,
     /// Optional directory where simulation databases are cached as JSON.
     pub cache_dir: Option<PathBuf>,
-    /// How `sweep::run` executes grids (parallel + memoized by default).
+    /// How `sweep::run` executes grids (parallel, memoized and
+    /// incremental by default).
     pub sweep: SweepOptions,
     /// Energy-curve memoization cache shared by every memoized sweep of the
     /// session (keys include platform/config digests, so scenarios from

@@ -400,13 +400,12 @@ pub fn evaluate_grant<C: Coordination + Sync>(
 ) -> Result<(String, u64, u64), QosrmError> {
     let spec: ScenarioSpec = serde_json::from_str(&grant.spec_json)
         .map_err(|e| QosrmError::Io(format!("grant carries an unparsable spec: {e}")))?;
-    // Workers are long-running serving processes: the incremental delta
-    // path cuts their per-invocation cost and is bit-identical in results,
-    // so merged shards still match the in-memory sweep byte for byte.
+    // Memoized and on the incremental delta path (both bit-identical in
+    // results), so merged shards still match the in-memory sweep byte for
+    // byte.
     let options = SweepOptions {
         parallel: !grant.serial,
-        memoize: true,
-        incremental: true,
+        ..SweepOptions::default()
     };
     let heartbeat = HeartbeatRequest {
         worker: worker.to_string(),
@@ -1102,14 +1101,23 @@ mod tests {
 
     #[test]
     fn heartbeat_fires_every_interval_while_the_body_runs() {
-        let beats = std::sync::atomic::AtomicUsize::new(0);
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let beats = AtomicUsize::new(0);
         let interval = Duration::from_millis(20);
+        // The body runs until it has seen three beats (with a generous
+        // deadline), so a slow scheduler cannot make the count race the
+        // body's length.
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
         with_heartbeat(
             interval,
             || {
-                beats.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                beats.fetch_add(1, Ordering::Relaxed);
             },
-            || thread::sleep(interval * 7 / 2),
+            || {
+                while beats.load(Ordering::Relaxed) < 3 && std::time::Instant::now() < deadline {
+                    thread::sleep(interval / 4);
+                }
+            },
         );
         assert!(beats.into_inner() >= 3);
     }

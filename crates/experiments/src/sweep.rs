@@ -19,8 +19,8 @@
 //!   axis order regardless of execution order, which `report.rs` renders
 //!   and `simdb::persist` can save/load as JSON.
 //!
-//! Two switches in [`SweepOptions`] control execution without affecting
-//! results:
+//! Three switches in [`SweepOptions`] control execution without affecting
+//! results; all three are on by default:
 //!
 //! * `parallel` — scenarios run on all available cores (the sweep is
 //!   embarrassingly parallel once the databases exist);
@@ -28,10 +28,15 @@
 //!   energy-versus-ways curves that dominate an RMA invocation are computed
 //!   once per distinct `(configuration, QoS, observation)` across the whole
 //!   sweep (phase traces wrap around within a run and recur across runs,
-//!   so hit rates are high).
+//!   so hit rates are high);
+//! * `incremental` — every manager runs its delta path
+//!   ([`CoordinatedRma::with_incremental`]): a core whose observation did
+//!   not change since its previous interval keeps its curve, and the
+//!   cooperative global step reuses the unchanged cores' reduction rows.
 //!
-//! Serial, parallel and memoized execution produce bit-identical
-//! [`SweepResult`]s; `tests/sweep_equivalence.rs` locks that in.
+//! [`SweepOptions::serial`] turns all three off: it is the cold reference.
+//! Every combination produces a bit-identical [`SweepResult`];
+//! `tests/sweep_equivalence.rs` locks that in.
 //!
 //! # Example
 //!
@@ -432,9 +437,10 @@ pub struct SweepOptions {
     /// observations skip curve construction entirely and the cooperative
     /// global step warm-starts from the retained reduction arena. Settings
     /// — and therefore sweep results — are bit-identical either way
-    /// (`tests/sweep_equivalence.rs` locks that in); the switch defaults to
-    /// off so the overhead experiments keep reporting cold per-invocation
-    /// work, and the resident serving daemon turns it on.
+    /// (`tests/sweep_equivalence.rs` locks that in), so the switch defaults
+    /// to on. The overhead experiments (E5/E9) build their own managers
+    /// and do not read it; only the work counters of sweep-evaluated
+    /// managers change with it.
     pub incremental: bool,
 }
 
@@ -443,14 +449,14 @@ impl Default for SweepOptions {
         SweepOptions {
             parallel: true,
             memoize: true,
-            incremental: false,
+            incremental: true,
         }
     }
 }
 
 impl SweepOptions {
-    /// Fully serial, uncached execution (the reference path benchmarks
-    /// compare against).
+    /// Fully serial, uncached, cold execution (the reference path that
+    /// `sweep run --serial` and the equivalence tests compare against).
     pub fn serial() -> Self {
         SweepOptions {
             parallel: false,
@@ -460,8 +466,8 @@ impl SweepOptions {
     }
 }
 
-/// Runs the grid with the context's sweep options (parallel + memoized by
-/// default).
+/// Runs the grid with the context's sweep options (parallel, memoized and
+/// incremental by default).
 pub fn run(grid: &ScenarioGrid, ctx: &ExperimentContext) -> SweepResult {
     run_with(grid, ctx, &ctx.sweep)
 }

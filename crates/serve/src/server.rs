@@ -277,25 +277,21 @@ impl Shared {
         contexts
             .entry(quick)
             .or_insert_with(|| {
-                // The daemon always runs managers on the incremental delta
-                // path: recurring per-core observations skip curve builds
-                // and the global step warm-starts, which is exactly the
-                // per-invocation cost a resident serving process cares
-                // about. Results are bit-identical to the cold path.
+                // Managers run on the default incremental delta path:
+                // recurring per-core observations skip curve builds and the
+                // global step warm-starts. Results are bit-identical to the
+                // cold path.
                 let sweep = if self.config.serial {
-                    // Serial but memoized: `SweepOptions::serial()` would
-                    // also disable memoization, which the serving bench
-                    // relies on for deterministic hit/miss counters.
+                    // Serial but memoized and incremental:
+                    // `SweepOptions::serial()` would also disable
+                    // memoization, which the serving bench relies on for
+                    // deterministic hit/miss counters.
                     SweepOptions {
                         parallel: false,
-                        memoize: true,
-                        incremental: true,
-                    }
-                } else {
-                    SweepOptions {
-                        incremental: true,
                         ..SweepOptions::default()
                     }
+                } else {
+                    SweepOptions::default()
                 };
                 Arc::new(
                     ExperimentContext::new(quick)

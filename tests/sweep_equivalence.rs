@@ -1,14 +1,17 @@
 //! Execution-mode equivalence of the scenario-sweep engine.
 //!
-//! The sweep options (`parallel`, `memoize`) are pure execution switches:
-//! serial, parallel and parallel+memoized runs of the same grid must produce
-//! bit-identical result tables, and the experiments built on the engine must
-//! render byte-identical reports in every mode.
+//! The sweep options (`parallel`, `memoize`, `incremental`) are pure
+//! execution switches: serial, parallel, memoized and incremental runs of
+//! the same grid must produce bit-identical result tables, and the
+//! experiments built on the engine must render byte-identical reports in
+//! every mode.
 
+use experiments::spec::ScenarioSpec;
 use experiments::sweep::{self, PlatformAxis, QosAxis, RmaVariant, ScenarioGrid, SweepOptions};
-use experiments::{run_experiment, ExperimentContext};
+use experiments::{run_experiment, stream, ExperimentContext, StreamOptions};
 use qosrm_types::{PlatformConfig, QosSpec};
 use rma_sim::SimulationOptions;
+use std::path::Path;
 use workload::paper1_workloads;
 
 fn grid(ctx: &ExperimentContext) -> ScenarioGrid {
@@ -132,5 +135,47 @@ fn memoization_pays_off_within_one_sweep() {
         cache.hit_rate() > 0.2,
         "expected recurring observations across scenarios, hit rate {:.3} of {total}",
         cache.hit_rate()
+    );
+}
+
+#[test]
+fn every_default_sweep_takes_the_delta_path() {
+    let defaults = SweepOptions::default();
+    assert!(defaults.parallel && defaults.memoize && defaults.incremental);
+    let serial = SweepOptions::serial();
+    assert!(!serial.parallel && !serial.memoize && !serial.incremental);
+    assert!(ExperimentContext::new(true).sweep.incremental);
+    assert!(StreamOptions::default().sweep.incremental);
+}
+
+#[test]
+fn default_stream_run_takes_the_delta_path_and_matches_the_serial_reference() {
+    let spec_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/specs/synth_smoke.json");
+    let spec = ScenarioSpec::load(&spec_path).expect("the smoke spec loads");
+    let dir = std::env::temp_dir().join(format!("qosrm_sweep_eq_delta_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let ctx = ExperimentContext::new(true);
+    let report =
+        stream::run(&spec, &ctx, &dir, &StreamOptions::default()).expect("streaming run completes");
+    assert!(report.finished);
+    let merged = stream::merge(&dir).expect("complete run merges");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let counters = ctx.rma_telemetry().snapshot();
+    assert!(counters.delta_invocations > 0, "delta path never taken");
+    assert!(
+        counters.warm_rows_reused > 0,
+        "warm arena never reused a row"
+    );
+
+    let serial_ctx = ExperimentContext::new(true);
+    let grid = spec.lower().expect("the smoke spec lowers");
+    let serial = sweep::run_with(&grid, &serial_ctx, &SweepOptions::serial());
+    assert_eq!(serial_ctx.rma_telemetry().snapshot().delta_invocations, 0);
+    assert_eq!(
+        serde_json::to_string(&merged).expect("results serialize"),
+        serde_json::to_string(&serial).expect("results serialize"),
+        "the default delta path changed the merged bytes"
     );
 }
