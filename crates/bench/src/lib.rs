@@ -18,8 +18,6 @@
 //!   (paper experiments E5 and E9: the "overhead" tables);
 //! * `optimizer_scaling` — the local and global optimization steps in
 //!   isolation, swept over core counts (the `O(cores · ways²)` claim);
-//! * `substrates` — throughput of the cache/ATD/stream substrates the
-//!   evaluation pipeline is built on;
 //! * `experiments_tables` — one end-to-end co-phase simulation per paper
 //!   table/figure family (E1/E2/E3/E7/E8), so regressions in the full
 //!   pipeline show up as bench regressions;

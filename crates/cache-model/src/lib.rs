@@ -1,20 +1,17 @@
 //! # cache-model
 //!
 //! Last-level cache substrate for the QoS-driven resource management
-//! reproduction:
+//! reproduction: a one-pass **LRU stack-distance profiler**
+//! ([`profile::StackDistanceProfiler`]) that replays a reference stream once
+//! and yields, from the resulting [`profile::ReplayProfile`]:
 //!
-//! * a detailed **set-associative, way-partitioned LLC** with LRU replacement
-//!   ([`cache::PartitionedCache`]) used as the ground-truth cache simulator,
-//! * a one-pass **LRU stack-distance profiler** ([`profile::StackDistanceProfiler`])
-//!   that yields the miss count for *every* possible way allocation
-//!   simultaneously (the property exploited by utility-based cache
-//!   partitioning),
-//! * the **Auxiliary Tag Directory** hardware model ([`atd::Atd`]) — a
-//!   set-sampled shadow directory with per-way hit counters, as used by the
-//!   paper to predict the cache-miss profile of each application at run time,
-//! * the Paper II **MLP-aware ATD extension** ([`mlp_atd::MlpAtd`]) that
-//!   detects overlapping misses and estimates the number of *leading* misses
-//!   for every (core size, way allocation) combination.
+//! * the miss count for *every* possible way allocation simultaneously (the
+//!   LRU stack property exploited by utility-based cache partitioning) —
+//!   both over every set (the ground truth) and over a set-sampled subset
+//!   (the view of the paper's Auxiliary Tag Directory, Section III-B),
+//! * the number of *leading* (non-overlapped) misses for every (core size,
+//!   way allocation) combination — the view of the Paper II MLP-aware ATD
+//!   extension.
 //!
 //! The crate operates on synthetic memory reference streams produced by the
 //! `workload` crate; each access carries the cache-line address and the index
@@ -24,15 +21,9 @@
 #![warn(rust_2018_idioms)]
 
 pub mod access;
-pub mod atd;
-pub mod cache;
-pub mod mlp_atd;
 pub mod profile;
 pub mod replacement;
 
 pub use access::{Access, AccessTrace};
-pub use atd::{Atd, AtdConfig};
-pub use cache::{AccessOutcome, CacheStats, PartitionedCache};
-pub use mlp_atd::{LeadingMissMatrix, MlpAtd, MlpAtdConfig, OverlapParams};
-pub use profile::{ReplayProfile, StackDistanceProfiler};
-pub use replacement::{LruStack, ReplacementPolicy};
+pub use profile::{OverlapParams, ReplayProfile, StackDistanceProfiler};
+pub use replacement::LruStack;

@@ -4,13 +4,13 @@
 //! in every cache with more than `d` ways and misses in every cache with at
 //! most `d` ways (the *stack property*). Profiling a trace once therefore
 //! yields the miss count for **every** possible way allocation, which is the
-//! mechanism both the ground-truth simulator and the Auxiliary Tag Directory
-//! rely on.
+//! mechanism the Auxiliary Tag Directory relies on. LRU sets are also
+//! independent of each other, so the set-sampled ATD view is a subset of the
+//! records of the one full replay ([`ReplayProfile::sample_sets`]).
 
 use crate::access::AccessTrace;
-use crate::mlp_atd::OverlapParams;
 use crate::replacement::LruStack;
-use qosrm_types::{LlcGeometry, MissProfile};
+use qosrm_types::{CoreSizeParams, LlcGeometry, MissProfile};
 use serde::{Deserialize, Serialize};
 
 /// Stack distance marking a cold miss (no previous reference to the line).
@@ -42,10 +42,6 @@ impl AccessRecord {
 #[derive(Debug, Clone)]
 pub struct StackDistanceProfiler {
     num_sets: usize,
-    /// Optional set-sampling: only sets whose index satisfies
-    /// `set % sampling == offset` are profiled (used by the ATD model).
-    sampling: usize,
-    offset: usize,
     sets: Vec<LruStack>,
 }
 
@@ -54,44 +50,21 @@ impl StackDistanceProfiler {
     pub fn new(llc: &LlcGeometry) -> Self {
         StackDistanceProfiler {
             num_sets: llc.num_sets,
-            sampling: 1,
-            offset: 0,
             sets: (0..llc.num_sets).map(|_| LruStack::unbounded()).collect(),
         }
     }
 
-    /// Creates a set-sampled profiler: only 1 out of `sampling` sets is
-    /// profiled (the sets congruent to `offset`). Sampled profiles must be
-    /// scaled by `sampling` to estimate whole-cache counts.
-    pub fn sampled(llc: &LlcGeometry, sampling: usize, offset: usize) -> Self {
-        let sampling = sampling.max(1);
-        StackDistanceProfiler {
-            num_sets: llc.num_sets,
-            sampling,
-            offset: offset % sampling,
-            sets: (0..llc.num_sets).map(|_| LruStack::unbounded()).collect(),
-        }
-    }
-
-    /// Whether the profiler observes accesses to `set`.
-    #[inline]
-    fn observes(&self, set: usize) -> bool {
-        self.sampling == 1 || set % self.sampling == self.offset
-    }
-
-    /// Replays a trace and produces its [`ReplayProfile`].
+    /// Replays a trace and produces its [`ReplayProfile`]: one record per
+    /// access, in trace order.
     ///
     /// The profiler is stateful across calls: replaying a second trace models
-    /// a warmed-up cache. Use a fresh profiler (or [`Self::reset`]) for an
-    /// independent slice; the evaluation warms each representative slice with
-    /// the preceding warm-up slice, as the paper does.
+    /// a warmed-up cache. Use a fresh profiler for an independent slice; the
+    /// evaluation warms each representative slice with the preceding warm-up
+    /// slice, as the paper does.
     pub fn replay(&mut self, trace: &AccessTrace) -> ReplayProfile {
         let mut records = Vec::with_capacity(trace.len());
         for access in trace.accesses() {
             let set = access.set_index(self.num_sets);
-            if !self.observes(set) {
-                continue;
-            }
             let distance = match self.sets[set].touch(access.tag(self.num_sets)) {
                 Some(d) => u32::try_from(d).unwrap_or(COLD_DISTANCE),
                 None => COLD_DISTANCE,
@@ -106,7 +79,7 @@ impl StackDistanceProfiler {
             records,
             instructions: trace.instructions(),
             total_accesses: trace.len() as u64,
-            scale: self.sampling as u64,
+            scale: 1,
         }
     }
 
@@ -114,16 +87,28 @@ impl StackDistanceProfiler {
     pub fn warm_up(&mut self, trace: &AccessTrace) {
         for access in trace.accesses() {
             let set = access.set_index(self.num_sets);
-            if self.observes(set) {
-                self.sets[set].touch(access.tag(self.num_sets));
-            }
+            self.sets[set].touch(access.tag(self.num_sets));
         }
     }
+}
 
-    /// Clears all reuse history.
-    pub fn reset(&mut self) {
-        for s in &mut self.sets {
-            *s = LruStack::unbounded();
+/// Parameters that bound how aggressively misses can overlap on a given core
+/// configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OverlapParams {
+    /// Re-order-buffer window in instructions: two misses further apart than
+    /// this cannot be in flight together.
+    pub rob_entries: usize,
+    /// Miss-status holding registers: at most this many misses can overlap in
+    /// one group.
+    pub mshrs: usize,
+}
+
+impl From<&CoreSizeParams> for OverlapParams {
+    fn from(p: &CoreSizeParams) -> Self {
+        OverlapParams {
+            rob_entries: p.rob_entries,
+            mshrs: p.mshrs,
         }
     }
 }
@@ -141,17 +126,6 @@ pub struct ReplayProfile {
 }
 
 impl ReplayProfile {
-    /// Builds a profile directly from records (used by tests and generators).
-    pub fn from_records(records: Vec<AccessRecord>, instructions: u64, scale: u64) -> Self {
-        let total_accesses = records.len() as u64 * scale;
-        ReplayProfile {
-            records,
-            instructions,
-            total_accesses,
-            scale: scale.max(1),
-        }
-    }
-
     /// The profiled access records, in program order.
     pub fn records(&self) -> &[AccessRecord] {
         &self.records
@@ -170,6 +144,44 @@ impl ReplayProfile {
     /// The set-sampling scale factor of this profile.
     pub fn scale(&self) -> u64 {
         self.scale
+    }
+
+    /// The set-sampled view of this profile: the records of the accesses to
+    /// the 1 in `sampling` sets congruent to `offset` (both taken modulo
+    /// `sampling.max(1)`), with the scale multiplied by the sampling factor
+    /// to estimate whole-cache counts. This is what the Auxiliary Tag
+    /// Directory hardware observes.
+    ///
+    /// `self` must be the full replay of `trace` on a profiler of geometry
+    /// `llc`. LRU sets are independent, so the selected records are exactly
+    /// those a profiler observing only the sampled sets would produce.
+    pub fn sample_sets(
+        &self,
+        trace: &AccessTrace,
+        llc: &LlcGeometry,
+        sampling: usize,
+        offset: usize,
+    ) -> ReplayProfile {
+        let sampling = sampling.max(1);
+        let offset = offset % sampling;
+        debug_assert_eq!(
+            self.records.len(),
+            trace.len(),
+            "sample_sets needs the full replay of the trace"
+        );
+        let records = self
+            .records
+            .iter()
+            .zip(trace.accesses())
+            .filter(|(_, access)| access.set_index(llc.num_sets) % sampling == offset)
+            .map(|(record, _)| *record)
+            .collect();
+        ReplayProfile {
+            records,
+            instructions: self.instructions,
+            total_accesses: self.total_accesses,
+            scale: self.scale * sampling as u64,
+        }
     }
 
     /// Misses for a cache with `ways` ways per set (scaled to the whole
@@ -237,6 +249,25 @@ impl ReplayProfile {
             }
         }
         leading * self.scale
+    }
+
+    /// Leading-miss counts for every (core size, way allocation) combination:
+    /// `matrix[s][w-1]` = [`Self::leading_misses_at`]`(w, &core_sizes[s])`
+    /// for `w` in `1..=max_ways` — the counters of the Paper II MLP-aware
+    /// ATD extension.
+    pub fn leading_miss_matrix(
+        &self,
+        core_sizes: &[OverlapParams],
+        max_ways: usize,
+    ) -> Vec<Vec<u64>> {
+        core_sizes
+            .iter()
+            .map(|params| {
+                (1..=max_ways)
+                    .map(|w| self.leading_misses_at(w, params))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Average memory-level parallelism at `ways` ways under `params`.
@@ -318,10 +349,6 @@ mod tests {
         warmed.warm_up(&trace);
         let warm_profile = warmed.replay(&trace);
         assert_eq!(warm_profile.misses_at(8), 0);
-
-        warmed.reset();
-        let reset_profile = warmed.replay(&trace);
-        assert_eq!(reset_profile.misses_at(8), 4);
     }
 
     #[test]
@@ -339,11 +366,13 @@ mod tests {
         }
         let trace = AccessTrace::new(accesses, inst);
         let mut full = StackDistanceProfiler::new(&geometry());
-        let full_misses = full.replay(&trace).misses_at(8);
-        let mut sampled = StackDistanceProfiler::sampled(&geometry(), 4, 0);
-        let sampled_misses = sampled.replay(&trace).misses_at(8);
+        let full_profile = full.replay(&trace);
+        let sampled = full_profile.sample_sets(&trace, &geometry(), 4, 0);
+        assert_eq!(sampled.scale(), 4);
+        assert_eq!(sampled.records().len() * 4, full_profile.records().len());
+        assert_eq!(sampled.total_accesses(), full_profile.total_accesses());
         // Uniform traffic: the scaled sampled estimate matches exactly.
-        assert_eq!(full_misses, sampled_misses);
+        assert_eq!(full_profile.misses_at(8), sampled.misses_at(8));
     }
 
     #[test]
@@ -428,7 +457,8 @@ mod tests {
 
     #[test]
     fn empty_profile_defaults() {
-        let profile = ReplayProfile::from_records(vec![], 1000, 1);
+        let profile =
+            StackDistanceProfiler::new(&geometry()).replay(&AccessTrace::new(vec![], 1000));
         assert_eq!(profile.misses_at(4), 0);
         let params = OverlapParams {
             rob_entries: 128,
@@ -436,5 +466,89 @@ mod tests {
         };
         assert!((profile.mlp_at(4, &params) - 1.0).abs() < 1e-12);
         assert_eq!(profile.miss_curve(4).misses_at(1), 0);
+    }
+
+    /// Small, medium and large core sizes (window, MSHRs).
+    fn three_sizes() -> Vec<OverlapParams> {
+        vec![
+            OverlapParams {
+                rob_entries: 64,
+                mshrs: 4,
+            },
+            OverlapParams {
+                rob_entries: 128,
+                mshrs: 8,
+            },
+            OverlapParams {
+                rob_entries: 256,
+                mshrs: 16,
+            },
+        ]
+    }
+
+    /// Bursty streaming trace on a 64-set, 16-way LLC: groups of `burst`
+    /// distinct new lines issued close together, far apart from the next
+    /// group.
+    fn bursty_profile(groups: u64, burst: u64) -> ReplayProfile {
+        let mut accesses = Vec::new();
+        let mut inst = 0u64;
+        let mut line = 0u64;
+        for _ in 0..groups {
+            for i in 0..burst {
+                accesses.push(Access::new(line, inst + i * 10));
+                line += 1;
+            }
+            inst += 10_000;
+        }
+        let trace = AccessTrace::new(accesses, inst.max(1));
+        let llc = LlcGeometry {
+            num_sets: 64,
+            associativity: 16,
+            line_bytes: 64,
+        };
+        StackDistanceProfiler::new(&llc).replay(&trace)
+    }
+
+    #[test]
+    fn leading_miss_matrix_exposes_more_mlp_on_larger_cores() {
+        let profile = bursty_profile(50, 12);
+        let misses = profile.miss_curve(16);
+        let matrix = profile.leading_miss_matrix(&three_sizes(), 16);
+        // Streaming: every access misses regardless of ways.
+        assert_eq!(misses.misses_at(16), 600);
+        let mlp: Vec<f64> = matrix
+            .iter()
+            .map(|row| misses.misses_at(16) as f64 / row[15] as f64)
+            .collect();
+        assert!(mlp[0] < mlp[1] && mlp[1] < mlp[2], "{mlp:?}");
+        assert!((mlp[0] - 4.0).abs() < 0.5); // limited by 4 MSHRs
+        assert!(mlp[2] >= 10.0); // whole 12-miss burst overlaps on the large core
+    }
+
+    #[test]
+    fn leading_miss_matrix_never_exceeds_total_misses() {
+        let profile = bursty_profile(30, 5);
+        let misses = profile.miss_curve(16);
+        let matrix = profile.leading_miss_matrix(&three_sizes(), 16);
+        assert_eq!(matrix.len(), 3);
+        for row in &matrix {
+            assert_eq!(row.len(), 16);
+            for w in 1..=16usize {
+                assert!(row[w - 1] <= misses.misses_at(w));
+            }
+        }
+        assert!(qosrm_types::MlpProfile::new(matrix)
+            .validate(&misses)
+            .is_ok());
+    }
+
+    #[test]
+    fn overlap_params_follow_core_sizes() {
+        let sizes = CoreSizeParams::default_three_sizes();
+        let params: Vec<OverlapParams> = sizes.iter().map(OverlapParams::from).collect();
+        assert_eq!(params.len(), 3);
+        assert_eq!(params[0].mshrs, sizes[0].mshrs);
+        assert_eq!(params[2].rob_entries, sizes[2].rob_entries);
+        assert!(params[2].mshrs > params[0].mshrs);
     }
 }

@@ -1,19 +1,6 @@
-//! Replacement policies for the set-associative cache model.
-//!
-//! The ground-truth LLC and the ATD both use true LRU (the ATD's per-way hit
-//! counters rely on the LRU stack property). A random policy is provided for
-//! sensitivity studies.
+//! The LRU recency stack behind the stack-distance profiler.
 
 use serde::{Deserialize, Serialize};
-
-/// Replacement policy selector for [`crate::cache::PartitionedCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReplacementPolicy {
-    /// True least-recently-used replacement.
-    Lru,
-    /// Pseudo-random replacement (xorshift over the victim ways).
-    Random,
-}
 
 /// An LRU recency stack over at most `capacity` cache lines (tags).
 ///
@@ -22,6 +9,7 @@ pub enum ReplacementPolicy {
 /// for a cold miss; an access with stack distance `d` hits in any cache with
 /// more than `d` ways and misses otherwise — the LRU stack property that lets
 /// a single pass produce the miss count for every associativity at once.
+/// A stack bounded to `w` entries is exactly one set of a `w`-way LRU cache.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LruStack {
     /// Tags ordered from most recently used to least recently used.
@@ -67,31 +55,6 @@ impl LruStack {
             }
         }
     }
-
-    /// Current number of resident tags.
-    pub fn len(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Whether the stack holds no tags.
-    pub fn is_empty(&self) -> bool {
-        self.stack.is_empty()
-    }
-
-    /// The tag at stack position `pos` (0 = most recently used).
-    pub fn peek(&self, pos: usize) -> Option<u64> {
-        self.stack.get(pos).copied()
-    }
-
-    /// Removes and returns the least recently used tag.
-    pub fn evict_lru(&mut self) -> Option<u64> {
-        self.stack.pop()
-    }
-
-    /// Whether `tag` is resident.
-    pub fn contains(&self, tag: u64) -> bool {
-        self.stack.contains(&tag)
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +71,6 @@ mod tests {
         assert_eq!(s.touch(10), Some(2));
         // Immediately reusing 10: distance 0.
         assert_eq!(s.touch(10), Some(0));
-        assert_eq!(s.len(), 3);
     }
 
     #[test]
@@ -116,24 +78,12 @@ mod tests {
         let mut s = LruStack::new(2);
         s.touch(1);
         s.touch(2);
-        s.touch(3); // evicts 1
-        assert!(!s.contains(1));
-        assert!(s.contains(2) && s.contains(3));
-        assert_eq!(s.len(), 2);
+        // Touching 3 evicts 1; 2 and 3 stay resident, 3 most recently used.
+        s.touch(3);
+        assert_eq!(s.touch(3), Some(0));
+        assert_eq!(s.touch(2), Some(1));
         // Touching 1 again is a cold miss from the stack's perspective.
         assert_eq!(s.touch(1), None);
-    }
-
-    #[test]
-    fn peek_and_evict() {
-        let mut s = LruStack::unbounded();
-        s.touch(1);
-        s.touch(2);
-        assert_eq!(s.peek(0), Some(2));
-        assert_eq!(s.peek(1), Some(1));
-        assert_eq!(s.evict_lru(), Some(1));
-        assert_eq!(s.len(), 1);
-        assert!(!s.is_empty());
     }
 
     #[test]

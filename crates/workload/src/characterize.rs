@@ -12,7 +12,7 @@
 
 use crate::phase::PhaseSpec;
 use crate::stream::StreamGenerator;
-use cache_model::{MlpAtd, MlpAtdConfig, OverlapParams, StackDistanceProfiler};
+use cache_model::{OverlapParams, ReplayProfile, StackDistanceProfiler};
 use core_model::{exec_cpi_curve, PhaseCharacterization};
 use qosrm_types::{LlcGeometry, PlatformConfig, QosrmError};
 use serde::{Deserialize, Serialize};
@@ -35,7 +35,7 @@ pub struct CharacterizationConfig {
 
 impl CharacterizationConfig {
     /// Default configuration for a platform: simulate 1/16 of the LLC sets
-    /// and 1/16 of the interval, with an additional 1-in-4 ATD sampling.
+    /// and 1/16 of the interval, with an additional 1-in-8 ATD sampling.
     pub fn for_platform(platform: &PlatformConfig) -> Self {
         let scale = 16u64;
         let sim_sets = (platform.llc.num_sets / scale as usize).max(64);
@@ -122,8 +122,9 @@ impl PhaseCharacterizer {
     }
 
     /// Characterizes one phase: generates its warm-up and representative
-    /// streams, replays them through the scaled LLC (exact and ATD-sampled),
-    /// and assembles the [`PhaseCharacterization`].
+    /// streams, replays them once through the scaled LLC, derives the exact
+    /// and the ATD-sampled views from that one replay, and assembles the
+    /// [`PhaseCharacterization`].
     pub fn characterize(&self, spec: &PhaseSpec, seed: u64) -> PhaseCharacterization {
         let assoc = self.config.sim_llc.associativity;
         let sim_instructions =
@@ -146,32 +147,27 @@ impl PhaseCharacterizer {
         let exact_profile = exact.replay(&main_trace);
 
         // ATD miss-curve view: additionally set-sampled (models the shadow
-        // tag directory hardware monitor).
-        let mut atd = StackDistanceProfiler::sampled(
+        // tag directory hardware monitor). LRU sets are independent, so it
+        // is the exact replay's records for the sampled sets.
+        let atd_profile = exact_profile.sample_sets(
+            &main_trace,
             &self.config.sim_llc,
             self.config.atd_sampling,
-            1 % self.config.atd_sampling.max(1),
+            1,
         );
-        atd.warm_up(&warm_trace);
-        let atd_profile = atd.replay(&main_trace);
 
         let scale = self.config.scale;
-        let misses_per_way: Vec<u64> = (1..=assoc)
-            .map(|w| exact_profile.misses_at(w) * scale)
-            .collect();
-        let atd_misses_per_way: Vec<u64> = (1..=assoc)
-            .map(|w| atd_profile.misses_at(w) * scale)
-            .collect();
-
-        let mlp_config = MlpAtdConfig {
-            set_sampling: 1,
-            core_sizes: self.overlap_params.clone(),
+        let scaled_curve = |profile: &ReplayProfile| -> Vec<u64> {
+            let curve = profile.miss_curve(assoc);
+            curve.as_slice().iter().map(|&m| m * scale).collect()
         };
-        let exact_matrix = MlpAtd::matrix_from_profile(&exact_profile, &mlp_config, assoc);
-        let leading_misses: Vec<Vec<u64>> = exact_matrix
-            .leading
-            .iter()
-            .map(|row| row.iter().map(|&v| v * scale).collect())
+        let misses_per_way = scaled_curve(&exact_profile);
+        let atd_misses_per_way = scaled_curve(&atd_profile);
+
+        let leading_misses: Vec<Vec<u64>> = exact_profile
+            .leading_miss_matrix(&self.overlap_params, assoc)
+            .into_iter()
+            .map(|row| row.into_iter().map(|v| v * scale).collect())
             .collect();
         // The MLP-ATD extension observes miss overlap at the MSHR file, which
         // sees every real miss (not only the ATD-sampled sets); its reported
