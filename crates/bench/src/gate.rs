@@ -52,7 +52,8 @@
 use experiments::dist::{self, Coordinator, CoordinatorConfig, WorkerConfig};
 use experiments::spec::{PlatformAxisSpec, PlatformSpec, WorkloadSource};
 use experiments::{
-    stream, ExperimentContext, LeaseCounters, QosAxis, RmaVariant, ScenarioSpec, StreamOptions,
+    stream, ExperimentContext, LeaseCounters, Progress, QosAxis, RmaVariant, ScenarioSpec,
+    StreamOptions,
 };
 use qosrm_core::{
     best_response, min_energy_equilibrium, optimize_partition_with_stats, CoordinatedRma,
@@ -982,7 +983,6 @@ fn run_serve_bench_with_load(
             workers: 1,
             default_shard_size: 1,
             serial: true,
-            poll_interval_ms: 5,
             ..Default::default()
         })
         .expect("in-process daemon must start on an ephemeral port");
@@ -1150,6 +1150,7 @@ fn run_dist_bench_with(
                     &dist_dir,
                     &config,
                     Arc::new(LeaseCounters::default()),
+                    Arc::new(Progress::default()),
                 )
                 .expect("coordinator opens"),
             );
@@ -1164,7 +1165,6 @@ fn run_dist_bench_with(
                         scope.spawn(move || {
                             let config = WorkerConfig {
                                 worker: format!("bench-w{i}"),
-                                poll_ms: 10,
                                 ..Default::default()
                             };
                             dist::run_worker_with(&addr, &config, &mut |_| ctx.clone())

@@ -10,7 +10,7 @@
 //!                                [--quick] [--shard-size N] [--serial]
 //!                                [--lease-ms MS] [--linger-ms MS]
 //! qosrm-experiments sweep work   --addr HOST:PORT [--worker NAME]
-//!                                [--poll-ms MS] [--shard-delay-ms MS]
+//!                                [--shard-delay-ms MS]
 //! qosrm-experiments sweep search --out DIR [--seed N] [--generations N]
 //!                                [--population N] [--capacity N] [--quick] [--serial]
 //! qosrm-experiments diagnose [--mix b1,b2,b3,b4]
@@ -49,7 +49,7 @@ const USAGE: &str = "usage:
   qosrm-experiments sweep resume --out DIR [--max-shards N] [--serial]
   qosrm-experiments sweep merge --out DIR --result FILE
   qosrm-experiments sweep coordinate --spec FILE --out DIR --addr HOST:PORT [--quick] [--shard-size N] [--serial] [--lease-ms MS] [--linger-ms MS]
-  qosrm-experiments sweep work --addr HOST:PORT [--worker NAME] [--poll-ms MS] [--shard-delay-ms MS]
+  qosrm-experiments sweep work --addr HOST:PORT [--worker NAME] [--shard-delay-ms MS]
   qosrm-experiments sweep search --out DIR [--seed N] [--generations N] [--population N] [--capacity N] [--quick] [--serial]
   qosrm-experiments diagnose [--mix b1,b2,...]";
 
@@ -183,7 +183,6 @@ struct SweepArgs {
     worker: Option<String>,
     lease_ms: Option<u64>,
     linger_ms: Option<u64>,
-    poll_ms: Option<u64>,
     shard_delay_ms: Option<u64>,
     seed: Option<u64>,
     generations: Option<usize>,
@@ -226,9 +225,6 @@ fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
             }
             "--linger-ms" => {
                 parsed.linger_ms = Some(parse_count(iter.next(), "--linger-ms")? as u64);
-            }
-            "--poll-ms" => {
-                parsed.poll_ms = Some(parse_count(iter.next(), "--poll-ms")? as u64);
             }
             "--shard-delay-ms" => {
                 parsed.shard_delay_ms = Some(parse_count(iter.next(), "--shard-delay-ms")? as u64);
@@ -422,10 +418,17 @@ fn coordinate_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), Stri
         verbose: true,
         ..Default::default()
     };
-    let counters = std::sync::Arc::new(experiments::LeaseCounters::default());
     let coordinator = std::sync::Arc::new(
-        dist::Coordinator::open(&spec.name, &spec, parsed.quick, out, &config, counters)
-            .map_err(|e| e.to_string())?,
+        dist::Coordinator::open(
+            &spec.name,
+            &spec,
+            parsed.quick,
+            out,
+            &config,
+            Default::default(),
+            Default::default(),
+        )
+        .map_err(|e| e.to_string())?,
     );
     let server = dist::serve_coordinator(&addr, coordinator.clone()).map_err(|e| e.to_string())?;
     // Parseable liveness line (the smoke scripts wait for it). Flushed
@@ -433,11 +436,16 @@ fn coordinate_main(parsed: &SweepArgs, out: &std::path::Path) -> Result<(), Stri
     println!("coordinating on {}", server.addr());
     std::io::stdout().flush().ok();
 
-    while !coordinator.finished() {
-        std::thread::sleep(std::time::Duration::from_millis(100));
+    let signal = coordinator.signal();
+    loop {
+        let seen = signal.generation();
+        if coordinator.finished() {
+            break;
+        }
+        signal.wait_past(seen, std::time::Duration::from_millis(config.lease_ms));
     }
-    // Linger so workers polling /lease observe `finished` and exit cleanly
-    // instead of dying on a refused connection.
+    // Linger so workers between a completion and their next /lease observe
+    // `finished` and exit cleanly instead of dying on a refused connection.
     let linger = parsed.linger_ms.unwrap_or(3_000);
     std::thread::sleep(std::time::Duration::from_millis(linger));
     let (completed, total) = coordinator.progress();
@@ -460,9 +468,6 @@ fn work_main(parsed: &SweepArgs) -> Result<(), String> {
     let mut config = dist::WorkerConfig::default();
     if let Some(worker) = &parsed.worker {
         config.worker = worker.clone();
-    }
-    if let Some(poll_ms) = parsed.poll_ms {
-        config.poll_ms = poll_ms.max(10);
     }
     if let Some(delay) = parsed.shard_delay_ms {
         config.shard_delay_ms = delay;

@@ -20,15 +20,20 @@
 //!   ([`run_worker`]);
 //! * **daemon** — `qosrm_serve` opens a [`Coordinator`] per run and mounts
 //!   the same endpoints on its own listener, with its in-process workers
-//!   and external `qosrm_worker` processes drawing from one queue;
+//!   and external `sweep work` processes drawing from one queue;
 //! * **in-process** — benches and tests drive [`Coordination`] directly,
 //!   with explicit clocks and no sockets.
+//!
+//! Nothing here waits on a timer. Every [`Coordinator`] bumps a shared
+//! [`Progress`] signal when it accepts a completion or reinjects a lease,
+//! and an idle `POST /lease` is held open (a long-poll) until that signal
+//! moves, the earliest live lease expires, or the run's `lease_ms` passes.
 
 use crate::context::ExperimentContext;
 use crate::spec::ScenarioSpec;
 use crate::stream::{self, LeaseCounters, ShardScheduler, SweepManifest, MANIFEST_FILE};
 use crate::sweep::{grid_points, mix_pairs, GridPoint, SweepEngine, SweepOptions};
-use crate::sync::LockUnpoisoned;
+use crate::sync::{LockUnpoisoned, Progress};
 use qosrm_proto::http::{
     check_proto_version, read_request, write_error, write_json, Request, RequestError, WireError,
     PROTO_VERSION, PROTO_VERSION_HEADER,
@@ -47,11 +52,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Body bound of coordination requests. Completions carry whole shard logs,
 /// so this is far above the daemon's default submission payload cap.
 pub const MAX_COMPLETE_BYTES: usize = 64 * 1024 * 1024;
+
+/// Longest a `POST /lease` long-poll is held open: well inside the
+/// [`WorkerClient`] read timeout, whatever the run's `lease_ms`.
+const MAX_LEASE_WAIT: Duration = Duration::from_secs(60);
 
 /// Milliseconds since the Unix epoch, the coordinator's lease clock.
 pub fn unix_ms() -> u64 {
@@ -66,10 +75,9 @@ pub fn unix_ms() -> u64 {
 pub struct CoordinatorConfig {
     /// Scenarios per shard when the directory is fresh.
     pub shard_size: usize,
-    /// Lease duration; workers heartbeat at a third of it.
+    /// Lease duration; workers heartbeat at a third of it, and an idle
+    /// lease request is held open at most this long.
     pub lease_ms: u64,
-    /// Retry hint handed to workers when nothing is pending right now.
-    pub retry_ms: u64,
     /// Ask workers to evaluate serially (deterministic counter sequencing
     /// for benchmarks; memoization stays on).
     pub serial: bool,
@@ -89,7 +97,6 @@ impl Default for CoordinatorConfig {
         CoordinatorConfig {
             shard_size: 32,
             lease_ms: 10_000,
-            retry_ms: 250,
             serial: false,
             verbose: false,
             reclaim_prefix: String::new(),
@@ -105,6 +112,7 @@ pub struct Coordinator {
     quick: bool,
     config: CoordinatorConfig,
     counters: Arc<LeaseCounters>,
+    progress: Arc<Progress>,
     scheduler: Mutex<ShardScheduler>,
 }
 
@@ -115,7 +123,9 @@ impl Coordinator {
     /// checking that its spec and quick mode match — a coordinator restart
     /// must continue the same sweep, not silently start a different one.
     /// Unexpired leases survive the reopen; expired (and single-process
-    /// `"local"`) leases are reinjected.
+    /// `"local"`) leases are reinjected. `progress` is bumped on every
+    /// accepted completion and every reinjection; several coordinators may
+    /// share one signal, as they share `counters`.
     pub fn open(
         run: &str,
         spec: &ScenarioSpec,
@@ -123,6 +133,7 @@ impl Coordinator {
         dir: &Path,
         config: &CoordinatorConfig,
         counters: Arc<LeaseCounters>,
+        progress: Arc<Progress>,
     ) -> Result<Coordinator, QosrmError> {
         let spec_json = serde_json::to_string(spec).map_err(|e| QosrmError::Io(e.to_string()))?;
         let mut manifest = if dir.join(MANIFEST_FILE).exists() {
@@ -176,6 +187,7 @@ impl Coordinator {
             quick,
             config: config.clone(),
             counters,
+            progress,
             scheduler: Mutex::new(scheduler),
         })
     }
@@ -201,6 +213,21 @@ impl Coordinator {
         self.counters.snapshot()
     }
 
+    /// The progress signal this coordinator bumps.
+    pub fn signal(&self) -> &Progress {
+        &self.progress
+    }
+
+    /// Blocks until the progress signal moves past `seen`, the earliest
+    /// live lease expires (so the next [`Coordinator::lease_shard`]
+    /// reinjects it), or `limit` passes.
+    pub fn wait(&self, seen: u64, limit: Duration) {
+        let expiry = self.scheduler.lock_unpoisoned().next_expiry();
+        let until_expiry = expiry.map(|at| Duration::from_millis(at.saturating_sub(unix_ms()) + 1));
+        self.progress
+            .wait_past(seen, until_expiry.map_or(limit, |until| until.min(limit)));
+    }
+
     /// The `GET /status` snapshot.
     pub fn status(&self) -> CoordStatus {
         let (completed, total) = self.progress();
@@ -220,18 +247,26 @@ impl Coordinator {
         }
     }
 
-    /// Leases the next pending shard to `worker` (reinjecting any leases
-    /// that expired first).
-    pub fn lease_shard(&self, worker: &str) -> Result<LeaseReply, QosrmError> {
-        let mut scheduler = self.scheduler.lock_unpoisoned();
-        let reinjected_before = self.counters.snapshot().reinjected;
-        let lease = scheduler.lease(worker, unix_ms())?;
-        let reinjected = self.counters.snapshot().reinjected - reinjected_before;
+    /// Logs and signals the leases reinjected since the counter read
+    /// `before`.
+    fn note_reinjections(&self, before: u64) {
+        let reinjected = self.counters.snapshot().reinjected - before;
         if reinjected > 0 {
             self.log(&format!(
                 "{reinjected} expired lease(s) reinjected into the pending queue"
             ));
+            self.progress.bump();
         }
+    }
+
+    /// Leases the next pending shard to `worker` (reinjecting any leases
+    /// that expired first). Answers at once: without a grant, `finished`
+    /// tells whether the run is done or other workers hold live leases.
+    pub fn lease_shard(&self, worker: &str) -> Result<LeaseReply, QosrmError> {
+        let mut scheduler = self.scheduler.lock_unpoisoned();
+        let before = self.counters.snapshot().reinjected;
+        let lease = scheduler.lease(worker, unix_ms())?;
+        self.note_reinjections(before);
         Ok(match lease {
             Some(lease) => {
                 self.log(&format!(
@@ -253,13 +288,11 @@ impl Coordinator {
                         serial: self.config.serial,
                     }),
                     finished: false,
-                    retry_ms: 0,
                 }
             }
             None => LeaseReply {
                 grant: None,
                 finished: scheduler.finished(),
-                retry_ms: self.config.retry_ms,
             },
         })
     }
@@ -267,8 +300,10 @@ impl Coordinator {
     /// Renews a held lease.
     pub fn renew(&self, request: &HeartbeatRequest) -> Result<HeartbeatReply, QosrmError> {
         let mut scheduler = self.scheduler.lock_unpoisoned();
+        let before = self.counters.snapshot().reinjected;
         let renewed =
             scheduler.heartbeat(&request.worker, request.shard, request.epoch, unix_ms())?;
+        self.note_reinjections(before);
         Ok(HeartbeatReply {
             renewed: renewed.is_some(),
             expires_ms: renewed.unwrap_or(0),
@@ -279,6 +314,7 @@ impl Coordinator {
     /// their log dropped.
     pub fn deliver(&self, request: &CompleteRequest) -> Result<CompleteReply, QosrmError> {
         let mut scheduler = self.scheduler.lock_unpoisoned();
+        let before = self.counters.snapshot().reinjected;
         let outcome = scheduler.complete(
             &request.worker,
             request.shard,
@@ -288,7 +324,9 @@ impl Coordinator {
             request.curve_misses,
             unix_ms(),
         )?;
+        self.note_reinjections(before);
         if outcome.accepted {
+            self.progress.bump();
             self.log(&format!(
                 "shard {} completed by {} ({}/{} scenarios done)",
                 request.shard,
@@ -389,7 +427,7 @@ pub fn evaluate_points(
 }
 
 /// Evaluates one grant's points, heartbeating the lease from a side thread
-/// the whole time. Returns the [`CompleteRequest`] payload; a lost lease
+/// the whole time. Returns the [`CompleteRequest`] to deliver; a lost lease
 /// does not abort the evaluation — the completion is simply delivered and
 /// resolved (accepted or stale) by epoch at the coordinator.
 pub fn evaluate_grant<C: Coordination + Sync>(
@@ -397,7 +435,7 @@ pub fn evaluate_grant<C: Coordination + Sync>(
     worker: &str,
     grant: &LeaseGrant,
     ctx: &ExperimentContext,
-) -> Result<(String, u64, u64), QosrmError> {
+) -> Result<CompleteRequest, QosrmError> {
     let spec: ScenarioSpec = serde_json::from_str(&grant.spec_json)
         .map_err(|e| QosrmError::Io(format!("grant carries an unparsable spec: {e}")))?;
     // Memoized and on the incremental delta path (both bit-identical in
@@ -426,7 +464,7 @@ pub fn evaluate_grant<C: Coordination + Sync>(
             evaluate_points(ctx, &spec, &grant.points, options)
         }))
     });
-    result.unwrap_or_else(|panic| {
+    let (outcomes_jsonl, curve_hits, curve_misses) = result.unwrap_or_else(|panic| {
         let message = panic
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
@@ -435,6 +473,15 @@ pub fn evaluate_grant<C: Coordination + Sync>(
         Err(QosrmError::Io(format!(
             "shard evaluation panicked: {message}"
         )))
+    })?;
+    Ok(CompleteRequest {
+        worker: heartbeat.worker,
+        run: heartbeat.run,
+        shard: grant.shard,
+        epoch: grant.epoch,
+        outcomes_jsonl,
+        curve_hits,
+        curve_misses,
     })
 }
 
@@ -466,9 +513,6 @@ pub struct WorkerConfig {
     pub worker: String,
     /// Run to draw from; empty means "any run" (daemon mode).
     pub run: String,
-    /// Fallback poll interval when the coordinator grants nothing and
-    /// offers no retry hint.
-    pub poll_ms: u64,
     /// Artificial pause between evaluating a shard and delivering its
     /// completion (0 in production; the kill-window of the dist smoke).
     pub shard_delay_ms: u64,
@@ -482,7 +526,6 @@ impl Default for WorkerConfig {
         WorkerConfig {
             worker: format!("worker-{}", std::process::id()),
             run: String::new(),
-            poll_ms: 200,
             shard_delay_ms: 0,
             transport_retries: 25,
         }
@@ -530,29 +573,16 @@ pub fn run_worker_with(
             if reply.finished {
                 return Ok(report);
             }
-            let wait = if reply.retry_ms > 0 {
-                reply.retry_ms
-            } else {
-                config.poll_ms
-            };
-            thread::sleep(Duration::from_millis(wait.max(10)));
+            // The coordinator held the request open until its wait ran
+            // out: simply ask again.
             continue;
         };
         let ctx = ctx_for(grant.quick);
-        let (outcomes_jsonl, curve_hits, curve_misses) =
-            evaluate_grant(&client, &config.worker, &grant, &ctx)?;
+        let completion = evaluate_grant(&client, &config.worker, &grant, &ctx)?;
         if config.shard_delay_ms > 0 {
             thread::sleep(Duration::from_millis(config.shard_delay_ms));
         }
-        let delivered = client.complete(&CompleteRequest {
-            worker: config.worker.clone(),
-            run: grant.run.clone(),
-            shard: grant.shard,
-            epoch: grant.epoch,
-            outcomes_jsonl,
-            curve_hits,
-            curve_misses,
-        })?;
+        let delivered = client.complete(&completion)?;
         report.scenarios += grant.points.len() as u64;
         if delivered.accepted {
             report.shards_completed += 1;
@@ -722,7 +752,7 @@ impl CoordinatorServer {
 ///
 /// | Request | Body | Meaning |
 /// |---|---|---|
-/// | `POST /lease` | [`LeaseRequest`] | lease the next pending shard |
+/// | `POST /lease` | [`LeaseRequest`] | lease the next pending shard (long-poll) |
 /// | `POST /heartbeat` | [`HeartbeatRequest`] | renew a held lease |
 /// | `POST /shards/{id}/complete` | [`CompleteRequest`] | deliver a shard log |
 /// | `GET /status` | — | [`CoordStatus`] snapshot |
@@ -794,7 +824,10 @@ fn handle_coordination_connection(stream: &mut TcpStream, coordinator: &Arc<Coor
             Resolution::Unknown
         }
     };
-    if let Ok(false) = respond_coordination(stream, &request, &resolve) {
+    let max_wait = Duration::from_millis(coordinator.config.lease_ms);
+    if let Ok(false) =
+        respond_coordination(stream, &request, &resolve, coordinator.signal(), max_wait)
+    {
         let _ = write_error(
             stream,
             404,
@@ -810,12 +843,12 @@ fn handle_coordination_connection(stream: &mut TcpStream, coordinator: &Arc<Coor
 /// coordinator) or `Unknown` (a mismatched run id — fail fast, the worker
 /// is pointed at the wrong coordinator). The daemon additionally knows
 /// about runs *around* their coordinated phase: `Pending` (admitted but
-/// not yet claimed by a worker — retry soon) and `Finished` (terminal; the
-/// coordinator is gone and the worker should stop).
+/// not yet claimed by a worker — wait for it) and `Finished` (terminal;
+/// the coordinator is gone and the worker should stop).
 pub enum Resolution {
     /// A live coordinator serves this run.
     Coordinated(Arc<Coordinator>),
-    /// The run exists but is not coordinated *yet*; workers should retry.
+    /// The run exists but is not coordinated *yet*; a lease request waits.
     Pending,
     /// The run reached a terminal state; workers should stop draining it.
     Finished,
@@ -828,17 +861,21 @@ pub enum Resolution {
 /// dispatcher — the daemon — can fall through to its own routes or a 404).
 ///
 /// `resolve` maps the run id a request names to a [`Resolution`]; the
-/// empty string means "any run with pending work". Uncoordinated
-/// resolutions keep workers well-behaved: a `Pending` (or any-run
-/// `Unknown`) lease is told to retry, a `Finished` lease is told the run
-/// is done, a named-run `Unknown` lease is a typed `RunNotFound`, an
-/// uncoordinated heartbeat is answered "lease dead", and an uncoordinated
-/// completion is answered "stale" — the run finished (or died) without
-/// this shard, so the log is dropped.
+/// empty string means "any run with pending work". A lease request is a
+/// long-poll, answered once there is a grant or the run is finished:
+/// `signal` must be the [`Progress`] that every coordinator `resolve`
+/// returns bumps (it also wakes a `Pending` wait), and `max_wait` bounds
+/// the wait. Other uncoordinated resolutions keep workers well-behaved: an
+/// `Unknown` lease is a typed `RunNotFound`, an uncoordinated heartbeat is
+/// answered "lease dead", and an uncoordinated completion is answered
+/// "stale" — the run finished (or died) without this shard, so the log is
+/// dropped.
 pub fn respond_coordination(
     stream: &mut TcpStream,
     request: &Request,
     resolve: &dyn Fn(&str) -> Resolution,
+    signal: &Progress,
+    max_wait: Duration,
 ) -> std::io::Result<bool> {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
@@ -850,21 +887,9 @@ pub fn respond_coordination(
                 Ok(body) => body,
                 Err(error) => return write_error(stream, 400, "Bad Request", &error).map(|_| true),
             };
-            let idle = |finished: bool| LeaseReply {
-                grant: None,
-                finished,
-                retry_ms: 500,
-            };
-            match resolve(&body.run) {
-                Resolution::Coordinated(coordinator) => {
-                    reply_json(stream, coordinator.lease_shard(&body.worker)).map(|_| true)
-                }
-                Resolution::Pending => reply_json(stream, Ok(idle(false))).map(|_| true),
-                Resolution::Finished => reply_json(stream, Ok(idle(true))).map(|_| true),
-                Resolution::Unknown if body.run.is_empty() => {
-                    reply_json(stream, Ok(idle(false))).map(|_| true)
-                }
-                Resolution::Unknown => write_error(
+            match lease_when_ready(&body, resolve, signal, max_wait) {
+                Some(reply) => reply_json(stream, reply).map(|_| true),
+                None => write_error(
                     stream,
                     404,
                     "Not Found",
@@ -950,6 +975,47 @@ pub fn respond_coordination(
     }
 }
 
+/// The long-poll behind `POST /lease`: answers with a grant or `finished`
+/// as soon as there is one, and otherwise blocks on `signal` — woken by
+/// completions, reinjections and run-state changes, or by the earliest live
+/// lease's expiry. After `max_wait` (capped at [`MAX_LEASE_WAIT`]), or once
+/// `signal` is closed, it answers with neither and the worker simply asks
+/// again. `None` means the named run is unknown.
+fn lease_when_ready(
+    request: &LeaseRequest,
+    resolve: &dyn Fn(&str) -> Resolution,
+    signal: &Progress,
+    max_wait: Duration,
+) -> Option<Result<LeaseReply, QosrmError>> {
+    let deadline = Instant::now() + max_wait.min(MAX_LEASE_WAIT);
+    let idle = |finished| LeaseReply {
+        grant: None,
+        finished,
+    };
+    loop {
+        let seen = signal.generation();
+        let coordinator = match resolve(&request.run) {
+            Resolution::Coordinated(coordinator) => {
+                match coordinator.lease_shard(&request.worker) {
+                    Ok(reply) if reply.grant.is_none() && !reply.finished => Some(coordinator),
+                    answer => return Some(answer),
+                }
+            }
+            Resolution::Pending => None,
+            Resolution::Finished => return Some(Ok(idle(true))),
+            Resolution::Unknown => return None,
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || signal.is_closed() {
+            return Some(Ok(idle(false)));
+        }
+        match coordinator {
+            Some(coordinator) => coordinator.wait(seen, left),
+            None => signal.wait_past(seen, left),
+        }
+    }
+}
+
 fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, WireError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| WireError::new("MalformedRequest", "body is not UTF-8"))?;
@@ -1007,28 +1073,33 @@ mod tests {
         }
     }
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    /// A coordinator of [`tiny_spec`] over a fresh directory, served on an
+    /// ephemeral port: `(coordinator, listener, address, directory)`.
+    fn serve_tiny(
+        tag: &str,
+        config: CoordinatorConfig,
+    ) -> (Arc<Coordinator>, CoordinatorServer, String, PathBuf) {
         let dir = std::env::temp_dir().join(format!("qosrm_dist_{tag}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        dir
+        let coordinator = Coordinator::open(
+            tag,
+            &tiny_spec(),
+            true,
+            &dir,
+            &config,
+            Default::default(),
+            Default::default(),
+        )
+        .map(Arc::new)
+        .unwrap();
+        let server = serve_coordinator("127.0.0.1:0", coordinator.clone()).unwrap();
+        let addr = server.addr().to_string();
+        (coordinator, server, addr, dir)
     }
 
     #[test]
     fn versionless_requests_fail_fast_with_a_typed_error() {
-        let dir = temp_dir("version");
-        let coordinator = Arc::new(
-            Coordinator::open(
-                "r-test",
-                &tiny_spec(),
-                true,
-                &dir,
-                &CoordinatorConfig::default(),
-                Arc::new(LeaseCounters::default()),
-            )
-            .unwrap(),
-        );
-        let server = serve_coordinator("127.0.0.1:0", coordinator).unwrap();
-        let addr = server.addr().to_string();
+        let (_, server, addr, dir) = serve_tiny("version", CoordinatorConfig::default());
 
         // A hand-rolled request without the version header.
         let mut stream = TcpStream::connect(&addr).unwrap();
@@ -1057,24 +1128,11 @@ mod tests {
 
     #[test]
     fn wire_worker_drains_a_coordinator_to_a_mergeable_run() {
-        let dir = temp_dir("drain");
         let config = CoordinatorConfig {
             shard_size: 2,
             ..Default::default()
         };
-        let coordinator = Arc::new(
-            Coordinator::open(
-                "r-drain",
-                &tiny_spec(),
-                true,
-                &dir,
-                &config,
-                Arc::new(LeaseCounters::default()),
-            )
-            .unwrap(),
-        );
-        let server = serve_coordinator("127.0.0.1:0", coordinator.clone()).unwrap();
-        let addr = server.addr().to_string();
+        let (coordinator, server, addr, dir) = serve_tiny("drain", config);
         let report = run_worker(
             &addr,
             &WorkerConfig {
@@ -1101,25 +1159,54 @@ mod tests {
 
     #[test]
     fn heartbeat_fires_every_interval_while_the_body_runs() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let beats = AtomicUsize::new(0);
+        let beats = Progress::default();
         let interval = Duration::from_millis(20);
         // The body runs until it has seen three beats (with a generous
         // deadline), so a slow scheduler cannot make the count race the
         // body's length.
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let deadline = Instant::now() + Duration::from_secs(30);
         with_heartbeat(
             interval,
-            || {
-                beats.fetch_add(1, Ordering::Relaxed);
-            },
-            || {
-                while beats.load(Ordering::Relaxed) < 3 && std::time::Instant::now() < deadline {
-                    thread::sleep(interval / 4);
+            || beats.bump(),
+            || loop {
+                let seen = beats.generation();
+                if seen >= 3 || Instant::now() > deadline {
+                    break;
                 }
+                beats.wait_past(seen, interval * 10);
             },
         );
-        assert!(beats.into_inner() >= 3);
+        assert!(beats.generation() >= 3);
+    }
+
+    #[test]
+    fn a_held_lease_request_answers_finished_once_the_last_shard_lands() {
+        let config = CoordinatorConfig {
+            shard_size: 3,
+            lease_ms: 60_000,
+            ..Default::default()
+        };
+        let (_, server, addr, dir) = serve_tiny("long_poll", config);
+        let holder = WorkerClient::new(&addr, 3);
+        let grant = holder.lease("holder", "").unwrap().grant.unwrap();
+        let ctx = ExperimentContext::new(true);
+        let completion = evaluate_grant(&holder, "holder", &grant, &ctx).unwrap();
+
+        // The only shard is leased, so another worker's request is held.
+        let (sent, held) = mpsc::channel();
+        thread::spawn(move || sent.send(WorkerClient::new(&addr, 3).lease("waiter", "")));
+        assert!(
+            held.recv_timeout(Duration::from_millis(500)).is_err(),
+            "a lease request with nothing pending must wait"
+        );
+        assert!(holder.complete(&completion).unwrap().finished);
+        let reply = held
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the completion must wake the held lease request")
+            .unwrap();
+        assert!(reply.finished && reply.grant.is_none(), "{reply:?}");
+        server.stop();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -464,11 +464,12 @@ impl ShardScheduler {
         // the log's directory entry lost) leaves a manifest record with no
         // file behind it. Drop such ghost records — their scenarios are
         // simply pending again — so the manifest never claims shards that
-        // do not exist.
+        // do not exist. Adopted logs are appended, so the records stay in
+        // completion order — the order the daemon's `/stream` serves — and
+        // a `?from=N` cursor survives a restart.
         manifest
             .shards
             .retain(|record| dir.join(&record.file).is_file());
-        manifest.shards.sort_by(|a, b| a.file.cmp(&b.file));
 
         // Lease reconciliation. A record is done iff its log exists on
         // disk (a completion crash-lands the log before the manifest, so
@@ -671,6 +672,19 @@ impl ShardScheduler {
     /// Total scenarios of the sweep.
     pub fn total(&self) -> usize {
         self.total
+    }
+
+    /// When the earliest live lease expires (coordinator clock), if any
+    /// lease is live. The next call at or after that instant reinjects it.
+    pub fn next_expiry(&self) -> Option<u64> {
+        self.manifest
+            .leases
+            .iter()
+            .filter(|record| {
+                !record.done && record.epoch > 0 && !self.pending.contains(&record.shard)
+            })
+            .map(|record| record.expires_ms)
+            .min()
     }
 
     /// A snapshot of the lease-protocol counters.
@@ -1036,6 +1050,49 @@ mod tests {
         assert_eq!(report.skipped, 2);
         let healed = merge(&dir).unwrap();
         assert_eq!(healed, reference);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopen_keeps_shard_records_in_completion_order() {
+        // Shard 2 lands before shard 0, and shard 1's log reaches disk
+        // without its record (a kill between the two writes). A reopen
+        // keeps the completion order and appends the adopted log.
+        let (dir, spec) = (temp_dir("order"), tiny_spec());
+        let ctx = ExperimentContext::new(true);
+        let counters = Arc::new(LeaseCounters::default());
+        let manifest = init_manifest(&spec, true, &dir, 1).unwrap();
+        let mut scheduler =
+            ShardScheduler::open(manifest, &dir, 1, 1_000, counters.clone(), false, 0).unwrap();
+        let leases: Vec<ShardLease> = (0..3)
+            .map(|_| scheduler.lease("w", 0).unwrap().unwrap())
+            .collect();
+        let log_of = |lease: &ShardLease| {
+            let options = SweepOptions::default();
+            crate::dist::evaluate_points(&ctx, &spec, &lease.points, options)
+                .unwrap()
+                .0
+        };
+        for lease in [&leases[2], &leases[0]] {
+            let log = log_of(lease);
+            scheduler
+                .complete("w", lease.shard, lease.epoch, &log, 0, 0, 1)
+                .unwrap();
+        }
+        fs::write(dir.join(&leases[1].file), log_of(&leases[1])).unwrap();
+        let manifest = SweepManifest::load(&dir).unwrap();
+        let reopened = ShardScheduler::open(manifest, &dir, 1, 1_000, counters, false, 2).unwrap();
+        let files: Vec<&str> = reopened
+            .manifest()
+            .shards
+            .iter()
+            .map(|r| r.file.as_str())
+            .collect();
+        assert_eq!(
+            files,
+            ["shard-0002.jsonl", "shard-0000.jsonl", "shard-0001.jsonl"]
+        );
+        assert!(reopened.finished());
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -45,7 +45,7 @@ pub const PROTO_VERSION_HEADER: &str = "x-qosrm-proto";
 /// The protocol revision this build speaks. Bump it whenever a wire message
 /// changes incompatibly; a coordinator and worker disagreeing on it refuse
 /// each other with a typed error instead of mis-parsing bodies.
-pub const PROTO_VERSION: &str = "qosrm/1";
+pub const PROTO_VERSION: &str = "qosrm/2";
 
 /// `kind` of the typed error a version mismatch produces.
 pub const PROTOCOL_MISMATCH_KIND: &str = "ProtocolMismatch";

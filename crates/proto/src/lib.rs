@@ -2,8 +2,7 @@
 //!
 //! The wire protocol shared by everything that talks over a socket in this
 //! workspace: the `qosrm_serve` daemon and its clients, and the distributed
-//! sweep coordinator/worker pair (`sweep coordinate` / `sweep work` /
-//! `qosrm_worker`).
+//! sweep coordinator/worker pair (`sweep coordinate` / `sweep work`).
 //!
 //! The crate deliberately sits *below* both `experiments` and `qosrm-serve`
 //! in the dependency graph: the coordinator lives in `experiments::dist`

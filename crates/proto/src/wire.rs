@@ -3,9 +3,10 @@
 //! Three request/reply pairs drive the lease protocol:
 //!
 //! * `POST /lease` — [`LeaseRequest`] → [`LeaseReply`]: a worker asks for a
-//!   shard; the coordinator answers with a [`LeaseGrant`] (work), a retry
-//!   hint (nothing pending *right now* — live leases may yet expire), or
-//!   `finished` (the run is complete, the worker may exit).
+//!   shard. The coordinator holds the request open until it can answer
+//!   with a [`LeaseGrant`] (work) or `finished` (the run is complete, the
+//!   worker may exit); if its wait runs out first it answers with neither,
+//!   and the worker asks again.
 //! * `POST /heartbeat` — [`HeartbeatRequest`] → [`HeartbeatReply`]: renews a
 //!   held lease before it expires.
 //! * `POST /shards/{id}/complete` — [`CompleteRequest`] → [`CompleteReply`]:
@@ -67,10 +68,8 @@ pub struct LeaseReply {
     /// The granted shard, if any shard was pending.
     pub grant: Option<LeaseGrant>,
     /// True once every shard of the run is complete; the worker may exit.
+    /// Without a grant and not finished, the coordinator's wait ran out.
     pub finished: bool,
-    /// When `grant` is absent and `finished` is false (all remaining shards
-    /// are leased to other workers), how long to wait before asking again.
-    pub retry_ms: u64,
 }
 
 /// Worker → coordinator: renew a held lease.
@@ -214,23 +213,14 @@ mod tests {
             points: vec![12, 13, 14, 15],
             serial: true,
         };
-        let reply = LeaseReply {
-            grant: Some(grant),
-            finished: false,
-            retry_ms: 250,
-        };
-        let json = serde_json::to_string(&reply).unwrap();
-        let back: LeaseReply = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, reply);
-
-        let idle = LeaseReply {
-            grant: None,
-            finished: true,
-            retry_ms: 0,
-        };
-        let json = serde_json::to_string(&idle).unwrap();
-        let back: LeaseReply = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, idle);
+        // A grant, the long-poll's "wait ran out" reply, and `finished`.
+        for (grant, finished) in [(Some(grant), false), (None, false), (None, true)] {
+            let reply = LeaseReply { grant, finished };
+            let json = serde_json::to_string(&reply).unwrap();
+            assert!(!json.contains("retry"), "no retry hint on the wire: {json}");
+            let back: LeaseReply = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, reply);
+        }
     }
 
     #[test]

@@ -36,9 +36,11 @@
 //!
 //! The last four are the coordination endpoints of
 //! [`experiments::dist`] — the daemon *is* a sweep coordinator, so
-//! external `qosrm_worker` processes drain the same per-run shard queue
-//! as the in-process worker pool. Coordination `POST`s must carry the
-//! explicit protocol-version header
+//! external `qosrm_experiments sweep work` processes drain the same
+//! per-run shard queue as the in-process worker pool. An idle
+//! `POST /lease` is held open until a shard is grantable or the run ends,
+//! and `/stream` blocks between completions: nothing polls on a timer.
+//! Coordination `POST`s must carry the explicit protocol-version header
 //! ([`http::PROTO_VERSION_HEADER`]`: `[`http::PROTO_VERSION`]); a missing
 //! or mismatched revision is rejected with a typed `ProtocolMismatch`
 //! error, so mixed-version worker/daemon pairs fail fast.

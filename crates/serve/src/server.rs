@@ -11,10 +11,16 @@
 //! shards, a SIGKILL loses at most the leases in flight, and a restarted
 //! daemon resumes from the manifest (reclaiming its own dead workers'
 //! leases immediately, while external workers' leases survive). Because
-//! the daemon *is* the coordinator, external `qosrm_worker` processes can
+//! the daemon *is* the coordinator, external `sweep work` processes can
 //! attach to `POST /lease` / `POST /heartbeat` /
 //! `POST /shards/{id}/complete` and drain the same per-run shard queue the
 //! in-process workers draw from.
+//!
+//! Nothing polls. One [`Progress`] signal is bumped on admission, on every
+//! run-state change, on cancel, on shutdown, and by every run's
+//! coordinator when a shard lands or a lease is reinjected. `/stream`
+//! tails, lease long-polls and in-process workers waiting on external
+//! leases all block on it.
 //!
 //! ## Backpressure
 //!
@@ -33,20 +39,19 @@ use crate::http::{
 use crate::state::{RegistryInner, RunMeta, RunState, RunTallies, ServeCounters, RUN_META_FILE};
 use experiments::dist::{self, Coordinator, CoordinatorConfig};
 use experiments::{
-    ExperimentContext, LeaseCounters, LockUnpoisoned, RecordCounters, ScenarioSpec, SweepManifest,
-    SweepOptions, WaitUnpoisoned,
+    ExperimentContext, LeaseCounters, LockUnpoisoned, Progress, RecordCounters, ScenarioSpec,
+    SweepManifest, SweepOptions,
 };
 use qosrm_core::RmaWorkCounters;
-use qosrm_proto::{CompleteRequest, LeaseTelemetry};
+use qosrm_proto::LeaseTelemetry;
 use qosrm_types::QosrmError;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -71,15 +76,14 @@ pub struct ServeConfig {
     /// Evaluate scenarios serially within each run (deterministic counter
     /// sequencing for benchmarks; memoization stays on).
     pub serial: bool,
-    /// Poll interval of `/stream` tails and worker cancellation checks.
-    pub poll_interval_ms: u64,
     /// Artificial pause between shards (0 in production; tests and demos
     /// use it to exercise mid-run cancellation and kill windows
     /// deterministically).
     pub shard_delay_ms: u64,
     /// Shard-lease duration handed to workers (in-process and external
-    /// `qosrm_worker` processes alike); a worker that goes silent for this
-    /// long forfeits its shard, which is reinjected for someone else.
+    /// `sweep work` processes alike); a worker that goes silent for this
+    /// long forfeits its shard, which is reinjected for someone else. It
+    /// also bounds how long an idle `POST /lease` is held open.
     pub lease_ms: u64,
     /// Log requests and run transitions to stdout.
     pub verbose: bool,
@@ -95,7 +99,6 @@ impl Default for ServeConfig {
             max_payload_bytes: 1024 * 1024,
             default_shard_size: 8,
             serial: false,
-            poll_interval_ms: 25,
             shard_delay_ms: 0,
             lease_ms: 30_000,
             verbose: false,
@@ -240,7 +243,6 @@ const WORKER_PREFIX: &str = "qosrm-serve-worker-";
 struct Shared {
     config: ServeConfig,
     registry: Mutex<RegistryInner>,
-    work: Condvar,
     counters: ServeCounters,
     contexts: Mutex<HashMap<bool, Arc<ExperimentContext>>>,
     /// One coordinator per *live* (Running) run, shared between the worker
@@ -250,7 +252,9 @@ struct Shared {
     /// Lease-protocol telemetry, shared by every coordinator the daemon
     /// opens (process-lifetime, reported on `/stats`).
     lease_counters: Arc<LeaseCounters>,
-    shutdown: AtomicBool,
+    /// The daemon's one wake-up signal, also shared by every coordinator;
+    /// closed on shutdown.
+    progress: Arc<Progress>,
 }
 
 impl Shared {
@@ -260,6 +264,10 @@ impl Shared {
 
     fn run_dir(&self, id: &str) -> PathBuf {
         self.runs_root().join(id)
+    }
+
+    fn lease_ms(&self) -> u64 {
+        self.config.lease_ms.max(100)
     }
 
     fn log(&self, line: &str) {
@@ -356,6 +364,7 @@ impl Shared {
             let meta = meta.clone();
             drop(registry);
             let _ = meta.save(&self.run_dir(id));
+            self.progress.bump();
             self.log(&format!("run {id} -> {}", state.label()));
         }
     }
@@ -408,12 +417,11 @@ impl Server {
         let shared = Arc::new(Shared {
             config,
             registry: Mutex::new(RegistryInner::default()),
-            work: Condvar::new(),
             counters: ServeCounters::default(),
             contexts: Mutex::new(HashMap::new()),
             coordinators: Mutex::new(HashMap::new()),
             lease_counters: Arc::new(LeaseCounters::default()),
-            shutdown: AtomicBool::new(false),
+            progress: Arc::new(Progress::default()),
         });
         fs::create_dir_all(shared.runs_root())?;
         recover_runs(&shared)?;
@@ -451,12 +459,7 @@ impl Server {
     /// Stops the accept loop and workers and joins them. In-flight shards
     /// finish; queued runs stay durably queued for the next start.
     pub fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let mut registry = self.shared.registry.lock_unpoisoned();
-            registry.shutdown = true;
-        }
-        self.shared.work.notify_all();
+        self.shared.progress.close();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.accept_handle.take() {
@@ -517,14 +520,12 @@ fn recover_runs(shared: &Arc<Shared>) -> Result<(), QosrmError> {
         }
         registry.runs.insert(meta.id.clone(), meta);
     }
-    drop(registry);
-    shared.work.notify_all();
     Ok(())
 }
 
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.progress.is_closed() {
             break;
         }
         let Ok(stream) = stream else { continue };
@@ -603,7 +604,7 @@ fn handle_coordination(
         }
         if run.is_empty() {
             // No live coordinator right now, but a submission may arrive
-            // any moment: any-run workers stay attached and retry.
+            // any moment: any-run workers stay attached and wait.
             return dist::Resolution::Pending;
         }
         match shared.state_of(run) {
@@ -614,7 +615,8 @@ fn handle_coordination(
             None => dist::Resolution::Unknown,
         }
     };
-    if dist::respond_coordination(stream, request, &resolve)? {
+    let max_wait = Duration::from_millis(shared.lease_ms());
+    if dist::respond_coordination(stream, request, &resolve, &shared.progress, max_wait)? {
         Ok(())
     } else {
         write_error(
@@ -736,10 +738,15 @@ fn handle_submit(
             (202, "Accepted", status)
         }
     };
-    shared.work.notify_one();
+    shared.progress.bump();
     let (status, reason, payload) = response;
     let body = serde_json::to_string(&payload).unwrap_or_else(|_| "{}".to_string());
     write_json(stream, status, reason, &body)
+}
+
+fn run_not_found(stream: &mut TcpStream, id: &str) -> std::io::Result<()> {
+    let error = WireError::new("RunNotFound", format!("no run with id {id}"));
+    write_error(stream, 404, "Not Found", &error)
 }
 
 fn handle_list(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
@@ -763,18 +770,16 @@ fn handle_status(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> std:
             let body = serde_json::to_string(&status).unwrap_or_else(|_| "{}".to_string());
             write_json(stream, 200, "OK", &body)
         }
-        None => write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("RunNotFound", format!("no run with id {id}")),
-        ),
+        None => run_not_found(stream, id),
     }
 }
 
 /// Streams completed outcome lines as JSONL, tailing the run until it
-/// reaches a terminal state. `?from=N` skips the first `N` lines (a client
-/// reconnecting after a daemon restart resumes its cursor).
+/// reaches a terminal state. Lines follow the manifest's shard records,
+/// which are in completion order and keep it across a restart, so
+/// `?from=N` skips the first `N` lines (a client reconnecting after a
+/// daemon restart resumes its cursor). Each shard log is read once; between
+/// reads the tail blocks on the progress signal.
 fn handle_stream(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
@@ -782,85 +787,61 @@ fn handle_stream(
     request: &Request,
 ) -> std::io::Result<()> {
     if shared.state_of(id).is_none() {
-        return write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("RunNotFound", format!("no run with id {id}")),
-        );
+        return run_not_found(stream, id);
     }
-    let mut cursor = request
+    let mut skip = request
         .query_param("from")
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(0);
     write_stream_head(stream, "application/jsonl")?;
     let dir = shared.run_dir(id);
-    // State first, lines second: if the state was already terminal, the
-    // lines read below are guaranteed complete.
-    while let Some(state) = shared.state_of(id) {
-        let lines = outcome_lines(&dir);
-        if lines.len() > cursor {
-            let mut chunk = String::new();
-            for line in &lines[cursor..] {
-                chunk.push_str(line);
-                chunk.push('\n');
+    let mut tailed = 0;
+    loop {
+        let seen = shared.progress.generation();
+        // State first, records second: if the state was already terminal,
+        // the records read below are complete.
+        let Some(state) = shared.state_of(id) else {
+            break;
+        };
+        let records = SweepManifest::load(&dir)
+            .map(|manifest| manifest.shards)
+            .unwrap_or_default();
+        let mut chunk = String::new();
+        let mut lines = 0;
+        // A shard log is written before its record, so every file named
+        // here is complete.
+        for record in records.iter().skip(tailed) {
+            let text = fs::read_to_string(dir.join(&record.file)).unwrap_or_default();
+            for line in text.lines().filter(|l| !l.trim().is_empty()) {
+                if skip > 0 {
+                    skip -= 1;
+                } else {
+                    chunk.push_str(line);
+                    chunk.push('\n');
+                    lines += 1;
+                }
             }
-            ServeCounters::add(
-                &shared.counters.outcomes_streamed,
-                (lines.len() - cursor) as u64,
-            );
-            cursor = lines.len();
+        }
+        tailed = tailed.max(records.len());
+        if lines > 0 {
+            ServeCounters::add(&shared.counters.outcomes_streamed, lines);
             stream.write_all(chunk.as_bytes())?;
             stream.flush()?;
         }
-        if state.is_terminal() || shared.shutdown.load(Ordering::SeqCst) {
+        if state.is_terminal() || shared.progress.is_closed() {
             break;
         }
-        thread::sleep(Duration::from_millis(shared.config.poll_interval_ms));
+        shared
+            .progress
+            .wait_past(seen, Duration::from_millis(shared.lease_ms()));
     }
     Ok(())
-}
-
-/// All completed outcome lines of a run directory, in shard order. Shard
-/// logs are written atomically, so any visible file is complete.
-fn outcome_lines(dir: &Path) -> Vec<String> {
-    let mut files: Vec<PathBuf> = match fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| {
-                let name = p.file_name().map(|n| n.to_string_lossy().into_owned());
-                name.map(|n| n.starts_with("shard-") && n.ends_with(".jsonl"))
-                    .unwrap_or(false)
-            })
-            .collect(),
-        Err(_) => return Vec::new(),
-    };
-    files.sort();
-    let mut lines = Vec::new();
-    for file in files {
-        if let Ok(text) = fs::read_to_string(&file) {
-            lines.extend(
-                text.lines()
-                    .filter(|l| !l.trim().is_empty())
-                    .map(String::from),
-            );
-        }
-    }
-    lines
 }
 
 fn handle_result(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> std::io::Result<()> {
     let state = match shared.state_of(id) {
         Some(state) => state,
-        None => {
-            return write_error(
-                stream,
-                404,
-                "Not Found",
-                &WireError::new("RunNotFound", format!("no run with id {id}")),
-            )
-        }
+        None => return run_not_found(stream, id),
     };
     if state != RunState::Complete {
         return write_error(
@@ -909,6 +890,7 @@ fn handle_cancel(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> std:
                     ServeCounters::bump(&shared.counters.runs_cancelled);
                     drop(registry);
                     let _ = snapshot.save(&shared.run_dir(id));
+                    shared.progress.bump();
                     shared.log(&format!("run {id} -> cancelled"));
                     Some(shared.status_of(&snapshot))
                 } else {
@@ -924,12 +906,7 @@ fn handle_cancel(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> std:
             let body = serde_json::to_string(&status).unwrap_or_else(|_| "{}".to_string());
             write_json(stream, 200, "OK", &body)
         }
-        None => write_error(
-            stream,
-            404,
-            "Not Found",
-            &WireError::new("RunNotFound", format!("no run with id {id}")),
-        ),
+        None => run_not_found(stream, id),
     }
 }
 
@@ -1017,31 +994,37 @@ fn handle_stats(stream: &mut TcpStream, shared: &Arc<Shared>) -> std::io::Result
 /// cancellation and shutdown at every shard boundary.
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
+        let seen = shared.progress.generation();
+        if shared.progress.is_closed() {
+            return;
+        }
         let claimed = {
             let mut registry = shared.registry.lock_unpoisoned();
             loop {
-                if registry.shutdown {
+                let Some(id) = registry.queue.pop() else {
                     break None;
+                };
+                // A cancellation may have raced the pop.
+                if registry.runs.get(&id).map(|meta| meta.state) == Some(RunState::Queued) {
+                    break Some(id);
                 }
-                if let Some(id) = registry.queue.pop() {
-                    // A cancellation may have raced the pop.
-                    match registry.runs.get(&id).map(|meta| meta.state) {
-                        Some(RunState::Queued) => break Some(id),
-                        _ => continue,
-                    }
-                }
-                registry = shared.work.wait_unpoisoned(registry);
             }
         };
-        let Some(id) = claimed else { return };
-        shared.set_state(&id, RunState::Running, None);
-        execute_run(shared, &id);
+        match claimed {
+            Some(id) => {
+                shared.set_state(&id, RunState::Running, None);
+                execute_run(shared, &id);
+            }
+            None => shared
+                .progress
+                .wait_past(seen, Duration::from_millis(shared.lease_ms())),
+        }
     }
 }
 
 /// Executes a run as its coordinator: the worker thread leases shards to
 /// itself through the same [`Coordinator`] the daemon's coordination
-/// endpoints expose, so external `qosrm_worker` processes drain the very
+/// endpoints expose, so external `sweep work` processes drain the very
 /// same queue. Every shard boundary remains a checkpoint — cancellation is
 /// honoured between shards, and durable lease records make a SIGKILL lose
 /// at most the leases in flight (reclaimed on the next start).
@@ -1057,8 +1040,7 @@ fn execute_run(shared: &Arc<Shared>, id: &str) {
     let dir = shared.run_dir(id);
     let config = CoordinatorConfig {
         shard_size: meta.shard_size,
-        lease_ms: shared.config.lease_ms.max(100),
-        retry_ms: shared.config.poll_interval_ms.max(10),
+        lease_ms: shared.lease_ms(),
         serial: shared.config.serial,
         verbose: false,
         reclaim_prefix: WORKER_PREFIX.to_string(),
@@ -1070,6 +1052,7 @@ fn execute_run(shared: &Arc<Shared>, id: &str) {
         &dir,
         &config,
         shared.lease_counters.clone(),
+        shared.progress.clone(),
     ) {
         Ok(coordinator) => Arc::new(coordinator),
         Err(e) => {
@@ -1081,14 +1064,20 @@ fn execute_run(shared: &Arc<Shared>, id: &str) {
         .coordinators
         .lock_unpoisoned()
         .insert(id.to_string(), coordinator.clone());
+    // Lease requests waiting on this run (or on any run) can now resolve.
+    shared.progress.bump();
     let worker = thread::current()
         .name()
         .unwrap_or("qosrm-serve-worker-?")
         .to_string();
-    // A state other than Running means a racing cancel handler already
-    // persisted the terminal state; stop leasing immediately.
-    while shared.state_of(id) == Some(RunState::Running) {
-        if shared.shutdown.load(Ordering::SeqCst) {
+    loop {
+        let seen = shared.progress.generation();
+        // A state other than Running means a racing cancel handler already
+        // persisted the terminal state; stop leasing immediately.
+        if shared.state_of(id) != Some(RunState::Running) {
+            break;
+        }
+        if shared.progress.is_closed() {
             // Leave the run re-queueable: the next start recovers it.
             shared.set_state(id, RunState::Queued, None);
             break;
@@ -1111,25 +1100,13 @@ fn execute_run(shared: &Arc<Shared>, id: &str) {
                 break;
             }
             // Nothing pending right now, but external workers hold live
-            // leases: wait for them to land (or expire and reinject).
-            thread::sleep(Duration::from_millis(
-                shared.config.poll_interval_ms.max(10),
-            ));
+            // leases: wait for one to land or expire, or for a cancel or
+            // shutdown.
+            coordinator.wait(seen, Duration::from_millis(shared.lease_ms()));
             continue;
         };
-        let delivered = dist::evaluate_grant(&*coordinator, &worker, &grant, &ctx).and_then(
-            |(outcomes_jsonl, curve_hits, curve_misses)| {
-                coordinator.deliver(&CompleteRequest {
-                    worker: worker.clone(),
-                    run: grant.run.clone(),
-                    shard: grant.shard,
-                    epoch: grant.epoch,
-                    outcomes_jsonl,
-                    curve_hits,
-                    curve_misses,
-                })
-            },
-        );
+        let delivered = dist::evaluate_grant(&*coordinator, &worker, &grant, &ctx)
+            .and_then(|completion| coordinator.deliver(&completion));
         if let Err(e) = delivered {
             fail_run(shared, id, &e);
             break;
@@ -1139,8 +1116,10 @@ fn execute_run(shared: &Arc<Shared>, id: &str) {
         }
     }
     // The run left Running (terminal, re-queued, or failed): stop serving
-    // leases for it. Late external completions resolve as stale.
+    // leases for it. Late external completions resolve as stale, and
+    // waiting lease requests re-resolve.
     shared.coordinators.lock_unpoisoned().remove(id);
+    shared.progress.bump();
 }
 
 fn fail_run(shared: &Arc<Shared>, id: &str, e: &QosrmError) {

@@ -1,14 +1,18 @@
 //! Protocol-level integration coverage of the daemon: typed rejections
-//! (torn, oversized, invalid-spec, queue-full), dedup, cancellation, and
-//! the byte-identity of daemon results with the offline sweep path.
+//! (torn, oversized, invalid-spec, queue-full), dedup, cancellation, the
+//! event-driven `/stream` tail and lease long-poll, and the byte-identity
+//! of daemon results with the offline sweep path.
 
+use experiments::dist::{evaluate_grant, Coordination, WorkerClient};
 use experiments::spec::{PlatformAxisSpec, PlatformSpec, WorkloadSource};
 use experiments::{ExperimentContext, QosAxis, RmaVariant, ScenarioSpec, SweepOptions};
+use qosrm_proto::{LeaseGrant, LeaseReply};
 use qosrm_serve::{Client, ClientError, ServeConfig, Server};
-use qosrm_types::QosSpec;
+use qosrm_types::{QosSpec, QosrmError};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use workload::{MixPopulation, SynthSpec};
 
@@ -53,16 +57,39 @@ fn start(tag: &str, config: ServeConfig) -> (Server, Client, PathBuf) {
     (server, client, dir)
 }
 
-fn wait_terminal(client: &Client, id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let status = client.status(id).expect("status");
-        if matches!(status.state.as_str(), "complete" | "cancelled" | "failed") {
-            return status.state;
-        }
-        assert!(Instant::now() < deadline, "run {id} did not settle");
-        std::thread::sleep(Duration::from_millis(50));
+/// Waits until `done` holds for the daemon's `/stats`.
+fn wait_stats(client: &Client, what: &str, done: impl Fn(&qosrm_serve::StatsReport) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !done(&client.stats().expect("stats")) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// Sends a wire worker's lease request for `run` from a side thread,
+/// checks that the daemon holds it open, and returns where its reply lands.
+fn held_lease(addr: &str, run: &str) -> mpsc::Receiver<Result<LeaseReply, QosrmError>> {
+    let (sent, held) = mpsc::channel();
+    let (addr, run) = (addr.to_string(), run.to_string());
+    std::thread::spawn(move || sent.send(WorkerClient::new(&addr, 1).lease("waiter", &run)));
+    let early = held.recv_timeout(Duration::from_millis(500));
+    assert!(
+        early.is_err(),
+        "a lease request with nothing to grant must wait: {early:?}"
+    );
+    held
+}
+
+/// The reply to a held lease request, which must come within 2 s.
+fn woken(held: mpsc::Receiver<Result<LeaseReply, QosrmError>>) -> LeaseReply {
+    let reply = held.recv_timeout(Duration::from_secs(2));
+    reply.expect("the held lease request must wake").unwrap()
+}
+
+fn wait_terminal(client: &Client, id: &str) -> String {
+    // The stream tail closes once the run is terminal.
+    client.stream(id, usize::MAX, |_| {}).expect("stream");
+    client.status(id).expect("status").state
 }
 
 #[test]
@@ -253,33 +280,38 @@ fn identical_submissions_deduplicate_to_one_run() {
 
 #[test]
 fn cancel_mid_run_settles_as_cancelled_and_stream_terminates() {
-    // Slow shards (one scenario each, 300 ms apart) make the cancel land
-    // deterministically while the run is mid-execution.
+    // Slow shards (one scenario each, 1.5 s apart) make the cancel land
+    // deterministically while the run is mid-execution. A wire worker holds
+    // every remaining shard under a 60 s lease, so the in-process worker is
+    // waiting on external leases when the cancel lands.
     let (mut server, client, dir) = start(
         "cancel",
         ServeConfig {
             workers: 1,
-            shard_delay_ms: 300,
+            shard_delay_ms: 1_500,
             default_shard_size: 1,
+            lease_ms: 60_000,
             ..Default::default()
         },
     );
     let payload = serde_json::to_string(&tiny_spec("cancel", 9, 4)).unwrap();
-    let (_, status) = client.submit(&payload, "t", true, 1).unwrap();
-    let id = status.id;
-
-    // Wait for the run to be mid-execution (at least one shard done).
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = client.status(&id).unwrap();
-        if status.state == "running" && status.completed_scenarios >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "run never got going");
-        std::thread::sleep(Duration::from_millis(20));
+    let id = client.submit(&payload, "t", true, 1).unwrap().1.id;
+    wait_stats(&client, "the first shard", |stats| {
+        stats.leases.completed >= 1
+    });
+    let addr = server.addr().to_string();
+    let holder = WorkerClient::new(&addr, 3);
+    for _ in 0..3 {
+        let reply = holder.lease("holder", &id).unwrap();
+        assert!(reply.grant.is_some(), "a shard must still be pending");
     }
-    let cancelled = client.cancel(&id).unwrap();
-    assert_eq!(cancelled.state, "cancelled");
+
+    // Nothing is pending now: another wire worker's lease request is held,
+    // and the cancel wakes it (and the in-process worker) at once.
+    let held = held_lease(&addr, &id);
+    assert_eq!(client.cancel(&id).unwrap().state, "cancelled");
+    let reply = woken(held);
+    assert!(reply.finished && reply.grant.is_none(), "{reply:?}");
 
     // The stream tail closes instead of hanging.
     let lines = client.stream(&id, 0, |_| {}).unwrap();
@@ -292,6 +324,65 @@ fn cancel_mid_run_settles_as_cancelled_and_stream_terminates() {
 
     // Cancelling a terminal run is a no-op.
     assert_eq!(client.cancel(&id).unwrap().state, "cancelled");
+
+    // Stopping the daemon releases a lease request waiting for any run.
+    let held = held_lease(&addr, "");
+    server.stop();
+    assert!(woken(held).grant.is_none());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn stream_sends_every_outcome_once_when_shards_land_out_of_index_order() {
+    // The in-process worker completes shard 0 and pauses; two hand-driven
+    // wire workers lease shards 1 and 2 meanwhile, and shard 2 lands first
+    // while a reader tails the run.
+    let (mut server, client, dir) = start(
+        "outoforder",
+        ServeConfig {
+            workers: 1,
+            shard_delay_ms: 2_000,
+            default_shard_size: 1,
+            ..Default::default()
+        },
+    );
+    let payload = serde_json::to_string(&tiny_spec("outoforder", 61, 3)).unwrap();
+    let id = client.submit(&payload, "t", true, 1).unwrap().1.id;
+    wait_stats(&client, "shard 0", |stats| stats.leases.completed >= 1);
+    let addr = server.addr().to_string();
+    let (one, two) = (WorkerClient::new(&addr, 3), WorkerClient::new(&addr, 3));
+    let grant_1 = one.lease("ext-1", &id).unwrap().grant.expect("shard 1");
+    let grant_2 = two.lease("ext-2", &id).unwrap().grant.expect("shard 2");
+    assert_eq!((grant_1.shard, grant_2.shard), (1, 2));
+
+    let reader = {
+        let (client, id) = (client.clone(), id.clone());
+        std::thread::spawn(move || {
+            let mut lines = Vec::new();
+            client
+                .stream(&id, 0, |line| lines.push(line.to_string()))
+                .map(|_| lines)
+        })
+    };
+    let ctx = ExperimentContext::new(true);
+    let deliver = |worker: &WorkerClient, name: &str, grant: &LeaseGrant| {
+        let completion = evaluate_grant(worker, name, grant, &ctx).unwrap();
+        assert!(worker.complete(&completion).unwrap().accepted);
+    };
+    deliver(&two, "ext-2", &grant_2);
+    // The reader has sent shards 0 and 2 before shard 1 lands.
+    wait_stats(&client, "the reader to catch up", |stats| {
+        stats.counters.outcomes_streamed >= 2
+    });
+    deliver(&one, "ext-1", &grant_1);
+    assert_eq!(wait_terminal(&client, &id), "complete");
+
+    let lines = reader.join().unwrap().expect("stream");
+    let mut distinct = lines.clone();
+    distinct.sort();
+    distinct.dedup();
+    assert_eq!(lines.len(), 3, "{lines:#?}");
+    assert_eq!(distinct.len(), 3, "an outcome was sent twice: {lines:#?}");
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -454,7 +545,6 @@ fn external_workers_drain_the_daemon_lease_queue_alongside_the_pool() {
             &experiments::dist::WorkerConfig {
                 worker: "ext-1".to_string(),
                 run: pinned,
-                poll_ms: 25,
                 ..Default::default()
             },
         )
