@@ -1,7 +1,7 @@
 //! # qosrm-bench
 //!
-//! The CI performance-regression gate ([`gate`]) and shared fixtures for the
-//! criterion benchmark harness.
+//! The CI performance-regression gate ([`gate`]) and the fixtures its rows
+//! share.
 //!
 //! The gate is one scenario table, [`gate::SCENARIOS`]: each row names a
 //! fixed workload's runner and its whole policy — which walls are banded
@@ -12,19 +12,11 @@
 //! comparator, [`gate::compare`], checks any of them against its committed
 //! baseline.
 //!
-//! The criterion benches are organised by what they regenerate:
-//!
-//! * `rma_overhead` — the cost of one resource-manager invocation
-//!   (paper experiments E5 and E9: the "overhead" tables);
-//! * `optimizer_scaling` — the local and global optimization steps in
-//!   isolation, swept over core counts (the `O(cores · ways²)` claim);
-//! * `experiments_tables` — one end-to-end co-phase simulation per paper
-//!   table/figure family (E1/E2/E3/E7/E8), so regressions in the full
-//!   pipeline show up as bench regressions;
-//! * `sweep_throughput` — the scenario-sweep engine in four execution modes
-//!   (serial / parallel / parallel + memoized energy curves / the default,
-//!   which adds the incremental delta path), tracking the speedup that
-//!   makes large scenario spaces affordable.
+//! This is the workspace's only in-tree timing harness. The wall-clock
+//! side of the paper's overhead claims (E5, E9) is the `local_opt` and
+//! `global_opt` rows plus the `kernels` row's cold/delta `CoordinatedRma`
+//! schedule; the end-to-end sweep and serve workloads are timed by the
+//! separate `e2ebench` package.
 
 #![warn(missing_docs)]
 

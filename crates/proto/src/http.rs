@@ -20,6 +20,18 @@
 //! server maps to a JSON error response (see [`WireError`]) rather than a
 //! hangup, so clients always learn *why* they were refused.
 //!
+//! ## Adversarial input
+//!
+//! No byte sequence panics [`read_request`]; every input yields a
+//! [`Request`] or a typed [`RequestError`] (a property test feeds it
+//! random, truncated and byte-flipped requests). Percent-decoding works on
+//! bytes, so a `%` followed by a multibyte char (`/runs/%aé`) is kept as
+//! literal text instead of being sliced mid-char, and an invalid UTF-8
+//! result is decoded lossily. JSON bodies go through `serde_json`, whose
+//! parser rejects nesting deeper than `serde_json::MAX_DEPTH` (128) with an
+//! error instead of overflowing the connection thread's stack, so a body of
+//! `[` bytes under the payload limit is an ordinary 400.
+//!
 //! ## Protocol versioning
 //!
 //! Coordination requests (`/lease`, `/heartbeat`, `/shards/{id}/complete`)
@@ -117,9 +129,10 @@ pub enum RequestError {
     Closed,
 }
 
-/// Reads one request from `stream`. `max_body` bounds the accepted
-/// `Content-Length`; the head is bounded by [`MAX_HEAD_BYTES`].
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, RequestError> {
+/// Reads one request from `stream` (a `TcpStream` in the servers, any
+/// byte source in tests). `max_body` bounds the accepted `Content-Length`;
+/// the head is bounded by [`MAX_HEAD_BYTES`].
+pub fn read_request<R: Read>(stream: &mut R, max_body: usize) -> Result<Request, RequestError> {
     // Read the head byte-wise-ish (buffered in chunks) until CRLFCRLF.
     let mut head = Vec::new();
     let mut buf = [0u8; 1024];
@@ -245,16 +258,18 @@ fn parse_target(target: &str) -> (String, HashMap<String, String>) {
 }
 
 /// Minimal percent-decoding (enough for `%2F` in labels and `+` as space).
+/// Works on bytes, so a `%` followed by a multibyte char is kept literally
+/// rather than sliced mid-char.
 fn percent_decode(text: &str) -> String {
     let bytes = text.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
         match bytes[i] {
-            b'%' if i + 2 < bytes.len() => {
-                let hex = &text[i + 1..i + 3];
-                if let Ok(v) = u8::from_str_radix(hex, 16) {
-                    out.push(v);
+            b'%' => {
+                let hex = |at: usize| bytes.get(at).and_then(|&b| (b as char).to_digit(16));
+                if let (Some(hi), Some(lo)) = (hex(i + 1), hex(i + 2)) {
+                    out.push((hi * 16 + lo) as u8);
                     i += 3;
                 } else {
                     out.push(b'%');
@@ -376,6 +391,10 @@ mod tests {
         assert_eq!(percent_decode("a%2Fb+c"), "a/b c");
         assert_eq!(percent_decode("plain"), "plain");
         assert_eq!(percent_decode("bad%zz"), "bad%zz");
+        assert_eq!(percent_decode("/runs/%aé"), "/runs/%aé");
+        assert_eq!(percent_decode("%é1"), "%é1");
+        assert_eq!(percent_decode("trailing%4"), "trailing%4");
+        assert_eq!(percent_decode("%41%e9"), "A\u{fffd}");
     }
 
     #[test]

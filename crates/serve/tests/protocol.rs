@@ -1,7 +1,8 @@
 //! Protocol-level integration coverage of the daemon: typed rejections
-//! (torn, oversized, invalid-spec, queue-full), dedup, cancellation, the
-//! event-driven `/stream` tail and lease long-poll, and the byte-identity
-//! of daemon results with the offline sweep path.
+//! (torn, oversized, invalid-spec, deeply nested, mis-encoded target,
+//! queue-full), dedup, cancellation, the event-driven `/stream` tail and
+//! lease long-poll, and the byte-identity of daemon results with the
+//! offline sweep path.
 
 use experiments::dist::{evaluate_grant, Coordination, WorkerClient};
 use experiments::spec::{PlatformAxisSpec, PlatformSpec, WorkloadSource};
@@ -120,6 +121,47 @@ fn torn_and_malformed_requests_get_typed_errors_and_leave_the_daemon_up() {
     // The daemon still serves normally afterwards.
     let stats = client.stats().expect("daemon survived the torn requests");
     assert_eq!(stats.schema, qosrm_serve::STATS_SCHEMA);
+
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sends `request` on a fresh connection and returns the whole response.
+fn exchange(server: &Server, request: &[u8]) -> String {
+    let mut raw = TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(request).unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut response = String::new();
+    raw.read_to_string(&mut response).unwrap();
+    response
+}
+
+#[test]
+fn adversarial_bodies_and_targets_get_typed_errors_and_leave_the_daemon_up() {
+    let (mut server, client, dir) = start("adversarial", ServeConfig::default());
+
+    // 200,000 nested `[` (under the 1 MiB payload bound): the JSON parser's
+    // depth bound turns it into an ordinary parse error, not a stack
+    // overflow that aborts the daemon.
+    let deep = "[".repeat(200_000);
+    match client.submit(&deep, "t", true, 4).unwrap_err() {
+        ClientError::Rejected { status, kind, .. } => {
+            assert_eq!(status, 400);
+            assert_eq!(kind, "InvalidSpec");
+        }
+        other => panic!("expected InvalidSpec, got {other}"),
+    }
+
+    // A `%` followed by a multibyte char: decoded on bytes, so the path
+    // stays literal and names an unknown run.
+    let response = exchange(&server, "GET /runs/%aé HTTP/1.0\r\n\r\n".as_bytes());
+    assert!(response.starts_with("HTTP/1.0 404"), "%aé: {response}");
+    assert!(response.contains("RunNotFound"), "%aé: {response}");
+
+    let response = exchange(&server, b"GET /healthz HTTP/1.0\r\n\r\n");
+    assert!(response.starts_with("HTTP/1.0 200"), "healthz: {response}");
+    assert!(response.ends_with("ok\n"), "healthz: {response}");
+    assert_eq!(client.stats().unwrap().counters.rejected_invalid_spec, 1);
 
     server.stop();
     std::fs::remove_dir_all(&dir).ok();

@@ -149,8 +149,8 @@ fn interrupted_and_resumed_sweep_merges_byte_identically() {
 
     assert_eq!(result_bytes(&merged), result_bytes(&reference));
 
-    // Saved result files are byte-identical too (the acceptance criterion
-    // the CI smoke step checks with `cmp`).
+    // Saved result files are byte-identical too (the property the CI smoke
+    // step checks with `cmp`).
     let ref_file = ref_dir.join("result.json");
     let resumed_file = dir.join("result.json");
     reference.save(&ref_file).unwrap();
